@@ -14,18 +14,16 @@ level integral. Two delay surrogates are supported:
 
 Both give the same DC mass balance: a steady inflow u_i raises pool i at
 u_i/alpha_i and drains it through gate i+1 at u_{i+1}/alpha_i. The gain is
-synthesized by a Newton-Kleinman iteration on the continuous algebraic
-Riccati equation.
+synthesized from the stabilizing solution of the continuous algebraic
+Riccati equation, computed by the Schur method (Laub 1979).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .pools import N_POOLS, PoolParams
 
@@ -33,7 +31,7 @@ N_DESIGN_STATES = 3 * N_POOLS
 
 
 class NoStabilizingSolution(RuntimeError):
-    """The Riccati iteration failed to produce a stabilizing solution."""
+    """The continuous algebraic Riccati equation has no usable stabilizing solution."""
 
 
 @dataclass(frozen=True)
@@ -103,84 +101,26 @@ def spectral_abscissa(M: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def _stabilizing_initial_gain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Initial gain for the Newton iteration via eigenvalue-shifted pole placement."""
-    if spectral_abscissa(A) < 0:
-        return np.zeros((B.shape[1], A.shape[0]))
-    eigs = np.linalg.eigvals(A)
-    shift = max(0.05, 2.0 * abs(eigs.real).max())
-    # push every non-negative real part strictly into the left half plane,
-    # perturbing slightly to avoid repeated targets that place_poles rejects
-    targets = []
-    for k, ev in enumerate(eigs):
-        re = ev.real if ev.real < -1e-9 else -shift * (1.0 + 0.01 * k)
-        targets.append(complex(re, ev.imag))
-    targets = _conjugate_paired(targets)
-    with warnings.catch_warnings():
-        # the placement optimizer grumbles about its own tolerance even when
-        # the result is comfortably stabilizing, which is all we need here
-        warnings.simplefilter("ignore", UserWarning)
-        placed = scipy.signal.place_poles(A, B, np.array(targets))
-    K0 = placed.gain_matrix
-    if spectral_abscissa(A - B @ K0) >= 0:
-        raise NoStabilizingSolution("pole placement failed to stabilize (A, B)")
-    return K0
-
-
-def _conjugate_paired(targets):
-    # place_poles requires complex targets in conjugate pairs
-    out = []
-    used = [False] * len(targets)
-    for i, t in enumerate(targets):
-        if used[i]:
-            continue
-        if abs(t.imag) < 1e-12:
-            out.append(complex(t.real, 0.0))
-            used[i] = True
-            continue
-        for j in range(i + 1, len(targets)):
-            if not used[j] and abs(targets[j].conjugate() - t) < 1e-6 * max(1.0, abs(t)):
-                out.extend([t, t.conjugate()])
-                used[i] = used[j] = True
-                break
-        else:
-            out.append(complex(t.real, 0.0))
-            used[i] = True
-    return out
-
-
-def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
-               max_iter: int = 60, rel_tol: float = 1e-10) -> np.ndarray:
+def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
-    Newton-Kleinman: each iterate solves the Lyapunov equation of the
-    current closed loop, giving quadratic convergence from a stabilizing
-    start. Raises NoStabilizingSolution when no stabilizing P exists
+    Schur method (Laub 1979) via scipy.linalg.solve_continuous_are,
+    followed by checks that the closed loop is Hurwitz and the residual is
+    small. Raises NoStabilizingSolution when no stabilizing P exists
     (including the degenerate Q=0 case with a non-Hurwitz plant).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
+    try:
+        P = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NoStabilizingSolution(f"Schur solver failed: {exc}") from exc
+
     Rinv = np.linalg.inv(R)
-
-    K = _stabilizing_initial_gain(A, B)
-    P_prev = None
-    for _ in range(max_iter):
-        Acl = A - B @ K
-        # Lyapunov step: Acl' P + P Acl = -(Q + K' R K)
-        P = scipy.linalg.solve_continuous_lyapunov(Acl.T, -(Q + K.T @ R @ K))
-        P = 0.5 * (P + P.T)
-        K = Rinv @ B.T @ P
-        if P_prev is not None:
-            if np.linalg.norm(P - P_prev, "fro") <= rel_tol * max(1.0, np.linalg.norm(P, "fro")):
-                break
-        P_prev = P
-    else:
-        raise NoStabilizingSolution("Newton iteration did not converge")
-
     if spectral_abscissa(A - B @ (Rinv @ B.T @ P)) >= 0:
-        raise NoStabilizingSolution("converged P is not stabilizing")
+        raise NoStabilizingSolution("Riccati solution is not stabilizing")
     resid = A.T @ P + P @ A - P @ B @ Rinv @ B.T @ P + Q
     if np.linalg.norm(resid, "fro") > 1e-8 * max(np.linalg.norm(Q, "fro"), 1e-300):
         raise NoStabilizingSolution(

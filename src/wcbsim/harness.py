@@ -81,6 +81,13 @@ class Scenario:
             raise ScenarioError(f"unknown delay approximation {self.delay_approx!r}")
         if self.traj_every < 1:
             raise ScenarioError("traj_every must be >= 1")
+        for _, pool, _ in self.disturbances:
+            if not 0 <= pool < len(self.pools):
+                raise ScenarioError(
+                    f"disturbance pool {pool + 1} is outside 1..{len(self.pools)}")
+        if len(self.trigger_scale) != 3:
+            raise ScenarioError("trigger scale needs exactly 3 values "
+                                "(level, flow filter, level integral)")
         steps = self.t_epoch_s * SEC_TO_MIN / self.dt_min
         if abs(steps - round(steps)) > 1e-9:
             raise ScenarioError("dt must divide the epoch duration")

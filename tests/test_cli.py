@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcbsim
 from wcbsim.cli import (EXIT_DESIGN, EXIT_OK, EXIT_SCENARIO, load_scenario,
                         main, parse_seeds, scenario_from_ini, scenario_to_ini)
 from wcbsim.harness import Scenario, scenario_preset
@@ -61,6 +66,30 @@ def test_malformed_scenario_exits_2_without_output(tmp_path, capsys):
     assert rc == EXIT_SCENARIO
     assert not out.exists()
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["plant.disturbances=5:0:1",
+                                      "plant.disturbances=5:6:1",
+                                      "trigger.scale=1,2"])
+def test_out_of_range_override_exits_2_without_output(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "dept_etc_noiseless", "--out", str(out),
+               "--override", override] + SMALL)
+    assert rc == EXIT_SCENARIO
+    assert not out.exists()
+    assert "scenario error" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_signal():
+    # the interpreter must find the package under test, not an installed copy
+    src = str(Path(wcbsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wcbsim.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_preset_exits_2(tmp_path):

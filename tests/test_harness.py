@@ -102,6 +102,12 @@ def test_scenario_validation_errors():
     with pytest.raises(ScenarioError):
         Scenario(dt_min=0.0007).validate()
     with pytest.raises(ScenarioError):
+        Scenario(disturbances=((0.0, -1, 1.0),)).validate()
+    with pytest.raises(ScenarioError):
+        Scenario(disturbances=((0.0, 5, 1.0),)).validate()
+    with pytest.raises(ScenarioError):
+        Scenario(trigger_scale=(1.0, 2.0)).validate()
+    with pytest.raises(ScenarioError):
         scenario_preset("dept_etc_quiet")
 
 
