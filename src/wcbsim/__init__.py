@@ -2,14 +2,14 @@
 concurrent-transmission wireless bus, coupled to a five-pool
 water-irrigation plant."""
 
-from .harness import (RunReport, Scenario, ScenarioError, iae, run_experiment,
+from .harness import (RunReport, Scenario, ScenarioError, run_experiment,
                       scenario_preset)
 from .pools import DEFAULT_POOLS, PoolParams
 from .protocol import WCB_E, WCB_P
 
 __all__ = [
     "DEFAULT_POOLS", "PoolParams", "RunReport", "Scenario", "ScenarioError",
-    "WCB_E", "WCB_P", "iae", "run_experiment", "scenario_preset",
+    "WCB_E", "WCB_P", "run_experiment", "scenario_preset",
 ]
 
 __version__ = "0.1.0"

@@ -58,15 +58,16 @@ class LqrWeights:
 
 @dataclass(frozen=True)
 class ControllerGain:
-    """Raw Riccati gain K = R^-1 B' P plus the sign making u = sign*K*x stabilizing."""
+    """Riccati gain K = R^-1 B' P of the law u = -K x, and the closed-loop
+    decay rate rho = -max Re eig(A - B K)."""
 
     K: np.ndarray
-    sign: float
     rho: float
 
     @property
     def effective(self) -> np.ndarray:
-        return self.sign * self.K
+        """The gain in the form u = effective @ x."""
+        return -self.K
 
 
 # LQR weights: level deviations, nothing on the flow surrogates, gentle integral action
@@ -131,12 +132,8 @@ def solve_care(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
 def lqr_gain(model: StateSpaceModel, weights: LqrWeights) -> ControllerGain:
     P = solve_care(model.A, model.B, weights.Q, weights.R)
     K = np.linalg.solve(weights.R, model.B.T @ P)
-    # resolve the application sign by checking which loop is Hurwitz
-    for sign in (-1.0, 1.0):
-        abscissa = spectral_abscissa(model.A + sign * model.B @ K)
-        if abscissa < 0:
-            return ControllerGain(K=K, sign=sign, rho=-abscissa)
-    raise NoStabilizingSolution("neither sign of the gain stabilizes the loop")
+    # solve_care has checked that A - B K is Hurwitz
+    return ControllerGain(K=K, rho=-spectral_abscissa(model.A - model.B @ K))
 
 
 def control_law(gain: ControllerGain, xhat: np.ndarray) -> np.ndarray:

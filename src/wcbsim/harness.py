@@ -7,6 +7,12 @@ epoch with every gate flow switching at the integration step nearest its
 command arrival time. Gate flows are held between successful
 disseminations, and each sensor's held reference updates only in epochs in
 which it participated in a collection.
+
+Every flow change is one entry of a `SwitchLog` on the global step grid.
+The plant sees gate i's flow at step g as the applied input and its flow
+at step g - tau_i/dt as the delayed inflow, so transport delays must be
+multiples of dt but not of the epoch. The trajectory export reads the
+same log.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,13 +34,45 @@ from .rng import stream_rng
 
 SEC_TO_MIN = 1.0 / 60.0
 
+# plant-state rows of the design state z = (x1_1..x1_5, x2_1..x2_5, x3_1..x3_5)
+DESIGN_ROWS = np.concatenate([np.arange(N_POOLS) * plant.STATES_PER_POOL + k
+                              for k in (0, 3, 4)])
+
 
 class ScenarioError(ValueError):
     pass
 
 
-class EmptyGrid(ValueError):
-    pass
+class SwitchLog:
+    """Per-gate log of (global step, flow) switches.
+
+    A switch logged at step g applies from step g on; a gate holds 0 before
+    its first switch. Steps are logged in nondecreasing order per gate.
+    """
+
+    def __init__(self, n_gates: int):
+        self._steps = [[] for _ in range(n_gates)]
+        self._flows = [[] for _ in range(n_gates)]
+
+    def log(self, gate: int, step: int, flow: float) -> None:
+        self._steps[gate].append(step)
+        self._flows[gate].append(float(flow))
+
+    def window(self, gate: int, lo: int, n: int) -> tuple[float, list[tuple[int, float]]]:
+        """The gate's flow at step lo, and its switches in (lo, lo + n] as
+        (steps after lo, flow) pairs in the order they were logged."""
+        steps, flows = self._steps[gate], self._flows[gate]
+        k = bisect_right(steps, lo)
+        end = bisect_right(steps, lo + n, k)
+        return (flows[k - 1] if k else 0.0), [(steps[m] - lo, flows[m]) for m in range(k, end)]
+
+    def flows_at(self, steps: np.ndarray) -> np.ndarray:
+        """Flow of every gate at each of `steps`, shape (len(steps), n_gates)."""
+        return np.stack([np.concatenate([[0.0], f])[np.searchsorted(s, steps, side="right")]
+                         for s, f in zip(self._steps, self._flows)], axis=1)
+
+    def tobytes(self) -> bytes:
+        return repr((self._steps, self._flows)).encode()
 
 
 @dataclass(frozen=True)
@@ -71,6 +110,12 @@ class Scenario:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         if self.duration_epochs < 1:
             raise ScenarioError("duration must be at least one epoch")
+        reals = [self.t_epoch_s, self.dt_min, self.initial_level_m, self.level_std_m,
+                 self.flow_std, self.fp_rate, *(v for step in self.disturbances for v in step)]
+        if not all(math.isfinite(v) for v in reals):
+            raise ScenarioError("scenario values must be finite")
+        if self.t_epoch_s <= 0 or self.dt_min <= 0:
+            raise ScenarioError("epoch duration and dt must be positive")
         if self.level_std_m < 0 or self.flow_std < 0:
             raise ScenarioError("noise standard deviations must be >= 0")
         if self.flow_noise_mode not in ("filtered", "direct"):
@@ -85,6 +130,11 @@ class Scenario:
             if not 0 <= pool < len(self.pools):
                 raise ScenarioError(
                     f"disturbance pool {pool + 1} is outside 1..{len(self.pools)}")
+        try:
+            plant.DisturbanceSchedule(list(self.disturbances))
+            plant.check_dt(self.pools, self.dt_min)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if len(self.trigger_scale) != 3:
             raise ScenarioError("trigger scale needs exactly 3 values "
                                 "(level, flow filter, level integral)")
@@ -94,6 +144,26 @@ class Scenario:
         violations = triggers.validate_params(self.trigger_params)
         if violations:
             raise ScenarioError("bad trigger parameters: " + "; ".join(violations))
+        covered = sorted(i for idx in self.trigger_params.index_sets for i in idx)
+        if self.trigger_params.n_nodes != 2 * N_POOLS or covered != list(range(3 * N_POOLS)):
+            raise ScenarioError(f"trigger nodes must be {2 * N_POOLS} and measure each "
+                                f"of the {3 * N_POOLS} design states once")
+        self.epoch_config()
+
+    def epoch_config(self) -> protocol.EpochConfig:
+        """The scenario's bus configuration; ScenarioError if it cannot run."""
+        cfg = make_epoch_config(
+            TESTBEDS[self.testbed], variant=self.variant, t_epoch_s=self.t_epoch_s,
+            n_event_slots=self.n_event_slots, max_recovery_pairs=self.max_recovery_pairs,
+            n_ctrl_slots=self.n_ctrl_slots, fp_rate=self.fp_rate)
+        # forced triggering never runs the event phase, so it needs no EV slot:
+        # without one, the slot plan is that of the periodic variant
+        forced = self.force_trigger and cfg.n_event_slots == 0
+        try:
+            (replace(cfg, variant=WCB_P) if forced else cfg).validate()
+        except protocol.ConfigError as exc:
+            raise ScenarioError(f"{self.variant}: {exc}") from None
+        return cfg
 
 
 def scenario_preset(name: str, seed: int = 1, **overrides) -> Scenario:
@@ -125,9 +195,7 @@ class RunReport:
     scenario: Scenario
     t_min: np.ndarray                 # decimated time grid
     levels: np.ndarray                # decimated level deviations (n, 5) [m]
-    u_pre: np.ndarray                 # per-epoch gate flow entering the epoch (E, 5)
-    u_post: np.ndarray                # per-epoch gate flow after actuation (E, 5)
-    u_switch_step: np.ndarray         # per-epoch per-gate switch step, -1 = none
+    switch_log: SwitchLog             # gate flows on the global step grid
     traces: list[protocol.EpochTrace]
     iae_per_pool: np.ndarray          # [m]
     sample_count: int
@@ -158,9 +226,9 @@ class RunReport:
     def digest(self) -> str:
         """Stable fingerprint of everything the run produced."""
         h = hashlib.sha256()
-        for arr in (self.t_min, self.levels, self.u_pre, self.u_post,
-                    self.u_switch_step.astype(np.int64), self.iae_per_pool):
+        for arr in (self.t_min, self.levels, self.iae_per_pool):
             h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(self.switch_log.tobytes())
         h.update(repr(sorted(self.summary_row().items())).encode())
         for tr in self.traces:
             h.update(repr((tr.epoch, tr.event_flag, tr.n_triggered,
@@ -169,17 +237,6 @@ class RunReport:
             h.update(tr.act_latency_ms.tobytes())
             h.update(tr.radio_on_ms.tobytes())
         return h.hexdigest()
-
-
-def iae(values: np.ndarray, x_star: float, t_exp: float) -> float:
-    """Time-normalized integral of |x - x*| by the trapezoidal rule on a
-    uniform grid covering [0, t_exp]."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise EmptyGrid("need a grid of at least two samples")
-    dt = t_exp / (values.size - 1)
-    dev = np.abs(values - x_star)
-    return float(np.trapezoid(dev, dx=dt) / t_exp)
 
 
 def run_experiment(scenario: Scenario) -> RunReport:
@@ -201,35 +258,26 @@ def run_experiment(scenario: Scenario) -> RunReport:
     for i in range(N_POOLS):
         x[plant.STATES_PER_POOL * i] = sc.initial_level_m
 
-    cfg = make_epoch_config(
-        TESTBEDS[sc.testbed], variant=sc.variant, t_epoch_s=sc.t_epoch_s,
-        n_event_slots=sc.n_event_slots if sc.variant == WCB_E else 0,
-        max_recovery_pairs=sc.max_recovery_pairs, n_ctrl_slots=sc.n_ctrl_slots,
-        fp_rate=sc.fp_rate)
+    cfg = sc.epoch_config()
     schedule = protocol.build_schedule(cfg)
     dist = plant.DisturbanceSchedule(list(sc.disturbances))
+    lags = [int(round(p.tau / dt)) for p in pools]     # transport delays in steps
+    switches = SwitchLog(N_POOLS)
 
-    # delay replay in whole epochs: every pool delay must be a multiple of the epoch
-    delay_epochs = []
-    for p in pools:
-        ratio = p.tau / epoch_min
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ScenarioError("transport delays must be whole epochs for replay")
-        delay_epochs.append(int(round(ratio)))
-
-    s_level, s_flow, s_integ = sc.trigger_scale
+    # node j measures the design states index_sets[j]; its trigger sees them
+    # scaled per state kind (level, flow filter, level integral)
+    node_states = [np.array(idx) for idx in sc.trigger_params.index_sets]
+    state_scale = np.repeat(np.asarray(sc.trigger_scale, dtype=float), N_POOLS)
     # x2 filter DC gain maps a flow error onto the filter state
     x2_dc = np.array([plant.X2_GAIN_NUMERATOR[sc.delay_approx] * p.tau / (2.0 * p.alpha)
                       for p in pools])
+    flow_sig = sc.flow_std * (x2_dc if sc.flow_noise_mode == "filtered" else np.ones(N_POOLS))
+    all_sensors = set(cfg.sensor_ids())
+    all_actuators = set(cfg.actuator_ids())
 
     xhat_ctrl = np.zeros(3 * N_POOLS)           # controller-held design state
-    xhat_node = np.zeros(3 * N_POOLS)           # sensor-held references (same layout)
+    xhat_node = np.zeros(3 * N_POOLS)           # sensor-held references, scaled
     node_x3 = np.zeros(N_POOLS)                 # discrete-mode node integrators
-    u_held = np.zeros(N_POOLS)
-
-    u_pre = np.zeros((n_epochs, N_POOLS))
-    u_post = np.zeros((n_epochs, N_POOLS))
-    u_switch = np.full((n_epochs, N_POOLS), -1, dtype=int)
 
     traces: list[protocol.EpochTrace] = []
     iae_acc = np.zeros(N_POOLS)
@@ -248,57 +296,38 @@ def run_experiment(scenario: Scenario) -> RunReport:
 
     for epoch in range(n_epochs):
         t_s = epoch * epoch_min
+        g0 = epoch * steps_per_epoch
 
-        # --- sensor acquisition at the epoch start ---
-        y_now = x[0::plant.STATES_PER_POOL][:N_POOLS].copy()
-        x2_now = x[3::plant.STATES_PER_POOL][:N_POOLS].copy()
-        x3_now = x[4::plant.STATES_PER_POOL][:N_POOLS].copy()
+        # --- sensor acquisition at the epoch start: measured design state z ---
+        z = x[DESIGN_ROWS]
         if sc.level_std_m > 0 or sc.flow_std > 0:
             nrng = stream_rng(sc.seed, "noise", epoch)
-            x1_meas = y_now + nrng.normal(0.0, sc.level_std_m, N_POOLS)
-            sig = sc.flow_std * (x2_dc if sc.flow_noise_mode == "filtered" else np.ones(N_POOLS))
-            x2_meas = x2_now + nrng.normal(0.0, 1.0, N_POOLS) * sig
-        else:
-            x1_meas = y_now
-            x2_meas = x2_now
+            z[:N_POOLS] += nrng.normal(0.0, sc.level_std_m, N_POOLS)
+            z[N_POOLS:2 * N_POOLS] += nrng.normal(0.0, 1.0, N_POOLS) * flow_sig
         if sc.x3_mode == "discrete":
-            x3_meas = node_x3.copy()
-            node_x3 += epoch_min * x1_meas
-        else:
-            x3_meas = x3_now
+            z[2 * N_POOLS:] = node_x3
+            node_x3 += epoch_min * z[:N_POOLS]
+        z_scaled = state_scale * z
 
         # --- triggering and event phase ---
-        if sc.variant == WCB_P:
-            participants = set(cfg.sensor_ids())
+        if sc.variant == WCB_P or epoch == 0 or sc.force_trigger:
+            # periodic sampling, or a bootstrap in which all nodes report so
+            # the controller has a full state
+            participants = all_sensors
             controller_on = True
-            actuators_on = set(cfg.actuator_ids())
-            n_triggered = cfg.n_sensors
-            fire = True
-        elif epoch == 0 or sc.force_trigger:
-            # bootstrap: all nodes report so the controller has a full state
-            participants = set(cfg.sensor_ids())
-            controller_on = True
-            actuators_on = set(cfg.actuator_ids())
+            actuators_on = all_actuators
             n_triggered = cfg.n_sensors
             fire = True
         else:
-            fired = []
-            for j in range(N_POOLS):
-                xv = np.array([s_level * x1_meas[j], s_integ * x3_meas[j]])
-                xh = np.array([s_level * xhat_node[j], s_integ * xhat_node[2 * N_POOLS + j]])
-                if triggers.node_trigger(j, xv, xh, sc.trigger_params):
-                    fired.append(1 + j)
-            for j in range(N_POOLS):
-                xv = np.array([s_flow * x2_meas[j]])
-                xh = np.array([s_flow * xhat_node[N_POOLS + j]])
-                if triggers.node_trigger(N_POOLS + j, xv, xh, sc.trigger_params):
-                    fired.append(1 + N_POOLS + j)
+            fired = {1 + j for j, idx in enumerate(node_states)
+                     if triggers.node_trigger(j, z_scaled[idx], xhat_node[idx],
+                                              sc.trigger_params)}
             n_triggered = len(fired)
             if n_triggered > 0:
                 erng = stream_rng(sc.seed, "event", epoch)
             else:
                 erng = stream_rng(sc.seed, "falsepos", epoch)
-            detected = protocol.event_phase(set(fired), cfg, erng)
+            detected = protocol.event_phase(fired, cfg, erng)
             participants = {sid for sid in cfg.sensor_ids() if detected[sid]}
             controller_on = bool(detected[0])
             actuators_on = {aid for aid in cfg.actuator_ids() if detected[aid]}
@@ -306,10 +335,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
 
         # --- network epoch ---
         if fire:
-            readings = {}
-            for j in range(N_POOLS):
-                readings[1 + j] = (x1_meas[j], x3_meas[j])
-                readings[1 + N_POOLS + j] = (x2_meas[j],)
+            readings = {1 + j: tuple(z[idx].tolist()) for j, idx in enumerate(node_states)}
             trace = protocol.run_epoch(
                 schedule, participants, readings, cfg,
                 stream_rng(sc.seed, "network", epoch), epoch=epoch,
@@ -323,83 +349,62 @@ def run_experiment(scenario: Scenario) -> RunReport:
             sample_count += 1
 
         # --- controller update and actuation ---
-        u_pre[epoch] = u_held
-        u_cmd = None
         if trace.controller_on and trace.participants:
             for sid, payload in trace.received.items():
-                j = sid - 1
-                if j < N_POOLS:
-                    xhat_ctrl[j] = payload[0]
-                    xhat_ctrl[2 * N_POOLS + j] = payload[1]
-                else:
-                    xhat_ctrl[N_POOLS + (j - N_POOLS)] = payload[0]
+                xhat_ctrl[node_states[sid - 1]] = payload
             u_cmd = control.control_law(gain, xhat_ctrl)
             lat = trace.last_latency_ms
             if math.isfinite(lat):
                 latencies.append(lat)
-        new_u = u_held.copy()
-        for a in range(N_POOLS):
-            delta = trace.act_latency_ms[a]
-            if u_cmd is not None and math.isfinite(delta):
-                step = int(round(delta / (dt * 60000.0)))
-                u_switch[epoch, a] = min(step, steps_per_epoch)
-                new_u[a] = u_cmd[a]
-        u_post[epoch] = new_u
+            for a, delta in enumerate(trace.act_latency_ms):
+                if math.isfinite(delta):
+                    step = int(round(delta / (dt * 60000.0)))
+                    switches.log(a, g0 + min(step, steps_per_epoch), u_cmd[a])
 
         # sensors that took part hold the value they transmitted
         for sid in trace.participants:
-            j = sid - 1
-            if j < N_POOLS:
-                xhat_node[j] = x1_meas[j]
-                xhat_node[2 * N_POOLS + j] = x3_meas[j]
-            else:
-                xhat_node[N_POOLS + (j - N_POOLS)] = x2_meas[j - N_POOLS]
+            idx = node_states[sid - 1]
+            xhat_node[idx] = z_scaled[idx]
 
         # --- plant integration across the epoch ---
+        # v = (delayed flows, applied flows, disturbances) at the epoch start;
+        # segments break wherever one of the flows switches
+        v = np.zeros(plant.N_INPUTS)
+        moves = []
+        for i, lag in enumerate(lags):
+            for col, lo in ((i, g0 - lag), (N_POOLS + i, g0)):
+                v[col], switched = switches.window(i, lo, steps_per_epoch)
+                moves += [(off, col, flow) for off, flow in switched]
+        moves.sort(key=lambda move: move[0])     # stable: the later log wins a tie
         breaks = {0, steps_per_epoch}
-        for a in range(N_POOLS):
-            if u_switch[epoch, a] >= 0:
-                breaks.add(int(u_switch[epoch, a]))
-        replay = []
-        for i in range(N_POOLS):
-            e_src = epoch - delay_epochs[i]
-            if e_src < 0:
-                replay.append((0.0, 0.0, -1))
-            else:
-                replay.append((u_pre[e_src, i], u_post[e_src, i],
-                               int(u_switch[e_src, i])))
-                if u_switch[e_src, i] >= 0:
-                    breaks.add(int(u_switch[e_src, i]))
+        breaks.update(off for off, _, _ in moves)
         for t_d, _, _ in sc.disturbances:
             # snap off-grid step times to the nearest integration boundary
             step = int(round((t_d - t_s) / dt))
             if 0 < step < steps_per_epoch:
                 breaks.add(step)
 
-        bounds = sorted(b for b in breaks if 0 <= b <= steps_per_epoch)
+        bounds = sorted(breaks)
+        m = 0
         for a_step, b_step in zip(bounds, bounds[1:]):
+            while m < len(moves) and moves[m][0] <= a_step:
+                _, col, flow = moves[m]
+                v[col] = flow
+                m += 1
             n = b_step - a_step
-            if n == 0:
-                continue
-            u_app = np.array([u_post[epoch, i] if 0 <= u_switch[epoch, i] <= a_step
-                              else u_pre[epoch, i] for i in range(N_POOLS)])
-            u_dly = np.array([(post if 0 <= sw <= a_step else pre)
-                              for (pre, post, sw) in replay])
-            d = dist.disturbance_at(t_s + (a_step + 0.5) * dt)
-            v = np.concatenate([u_dly, u_app, d])
+            g = g0 + a_step
+            v[2 * N_POOLS:] = dist.disturbance_at(t_s + (a_step + 0.5) * dt)
             x, levels = stepper.advance(x, v, n)
             iae_acc += np.abs(levels).sum(axis=0)
             last_abs = np.abs(levels[-1])
             # decimated trajectory recording
-            g0 = epoch * steps_per_epoch + a_step + 1
-            k0 = (-g0) % rec_stride
+            k0 = (-(g + 1)) % rec_stride
             ks = np.arange(k0, n, rec_stride)
             if ks.size:
                 take = min(ks.size, n_rec - rec_i)
-                rec_t[rec_i:rec_i + take] = (g0 + ks[:take]) * dt
+                rec_t[rec_i:rec_i + take] = (g + 1 + ks[:take]) * dt
                 rec_y[rec_i:rec_i + take] = levels[ks[:take]]
                 rec_i += take
-        u_held = new_u
 
     t_exp = n_epochs * epoch_min
     iae_per_pool = (iae_acc + 0.5 * (first_abs - last_abs)) * dt / t_exp
@@ -409,7 +414,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
     return RunReport(
         scenario=sc,
         t_min=rec_t[:rec_i].copy(), levels=rec_y[:rec_i].copy(),
-        u_pre=u_pre, u_post=u_post, u_switch_step=u_switch,
+        switch_log=switches,
         traces=traces, iae_per_pool=iae_per_pool,
         sample_count=sample_count, dc_pct=dc_pct,
         mean_latency_ms=float(np.mean(latencies)) if latencies else math.nan,
@@ -436,15 +441,9 @@ def write_trajectory_csv(report: RunReport, fh: io.TextIOBase) -> None:
     fh.write(",".join(cols) + "\n")
     sc = report.scenario
     dist = plant.DisturbanceSchedule(list(sc.disturbances))
-    epoch_min = sc.t_epoch_s * SEC_TO_MIN
-    steps_per_epoch = int(round(epoch_min / sc.dt_min))
-    for t, y in zip(report.t_min, report.levels):
-        g = int(round(t / sc.dt_min))
-        epoch = min((g - 1) // steps_per_epoch, report.u_pre.shape[0] - 1)
-        step = g - epoch * steps_per_epoch
-        u = np.array([report.u_post[epoch, i]
-                      if 0 <= report.u_switch_step[epoch, i] < step
-                      else report.u_pre[epoch, i] for i in range(N_POOLS)])
+    # the level recorded at t = g*dt ends step g-1, which ran under the flows of step g-1
+    steps = np.rint(report.t_min / sc.dt_min).astype(np.int64) - 1
+    for t, y, u in zip(report.t_min, report.levels, report.switch_log.flows_at(steps)):
         d5 = dist.disturbance_at(t)[4]
         fh.write(",".join([_fmt(t)] + [_fmt(v) for v in y]
                           + [_fmt(v) for v in u] + [_fmt(d5)]) + "\n")

@@ -102,7 +102,7 @@ class WisPlantState:
     @classmethod
     def initial(cls, pools: tuple[PoolParams, ...], dt: float, y0=0.0,
                 u0: float = 0.0, x2_realization: str = "pade") -> "WisPlantState":
-        _check_dt(pools, dt)
+        check_dt(pools, dt)
         y = np.full(N_POOLS, y0, dtype=float) if np.isscalar(y0) else np.asarray(y0, dtype=float).copy()
         buffers = [np.full(_delay_steps(p, dt) + 1, u0, dtype=float) for p in pools]
         return cls(pools=pools, dt=dt, y=y,
@@ -131,7 +131,7 @@ def _delay_steps(pool: PoolParams, dt: float) -> int:
     return int(round(pool.tau / dt))
 
 
-def _check_dt(pools, dt: float) -> None:
+def check_dt(pools, dt: float) -> None:
     if dt <= 0:
         raise ValueError("dt must be positive")
     for p in pools:
@@ -199,7 +199,7 @@ class PlantStepper:
 
     def __init__(self, pools: tuple[PoolParams, ...], dt: float,
                  x2_realization: str = "pade"):
-        _check_dt(pools, dt)
+        check_dt(pools, dt)
         self.pools = pools
         self.dt = dt
         A, B = plant_matrices(pools, x2_realization)

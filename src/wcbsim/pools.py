@@ -34,10 +34,6 @@ class PoolParams:
         return self.phi / math.sqrt(1.0 - self.zeta**2)
 
 
-def omega_n(params: PoolParams) -> float:
-    return params.omega_n
-
-
 # delay [min], area [m^2], wave frequency [rad/min] for pools 1..5
 DEFAULT_POOLS: tuple[PoolParams, ...] = (
     PoolParams(tau=4.0, alpha=6492.0, phi=0.48),

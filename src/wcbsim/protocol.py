@@ -83,6 +83,8 @@ class EpochConfig:
             raise ConfigError("need K >= 1, C >= 1, R >= 0")
         if self.variant == WCB_E and self.n_event_slots < 1:
             raise ConfigError("event-triggered variant needs at least one EV slot")
+        if not 0.0 <= self.fp_rate <= 1.0:
+            raise ConfigError(f"fp_rate must be a probability, got {self.fp_rate}")
         build_schedule(self)  # raises if the active portion does not fit
 
     def sdr(self, n_senders: int) -> float:

@@ -70,14 +70,53 @@ def test_malformed_scenario_exits_2_without_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", ["plant.disturbances=5:0:1",
                                       "plant.disturbances=5:6:1",
-                                      "trigger.scale=1,2"])
+                                      "trigger.scale=1,2",
+                                      "network.n_ctrl_slots=0",
+                                      "network.max_recovery_pairs=-1",
+                                      "network.fp_rate=2",
+                                      "run.t_epoch_s=0.24",
+                                      "run.t_epoch_s=-60",
+                                      "run.t_epoch_s=nan",
+                                      "noise.level_std_m=nan",
+                                      "noise.level_std_m=inf",
+                                      "noise.flow_std=nan",
+                                      "plant.initial_level_m=inf",
+                                      "plant.dt_min=0",
+                                      "plant.dt_min=-0.001",
+                                      "run.t_epoch_s=45 plant.dt_min=0.75"])
 def test_out_of_range_override_exits_2_without_output(tmp_path, capsys, override):
     out = tmp_path / "out"
-    rc = main(["run", "--scenario", "dept_etc_noiseless", "--out", str(out),
-               "--override", override] + SMALL)
+    argv = ["run", "--scenario", "dept_etc_noiseless", "--out", str(out)] + SMALL
+    for item in override.split():
+        argv += ["--override", item]
+    rc = main(argv)
     assert rc == EXIT_SCENARIO
     assert not out.exists()
     assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "node 1 states 0 10\nM 0.6 x / 0 1\n"],
+                         ids=["missing", "malformed"])
+def test_bad_params_file_exits_2_without_output(tmp_path, capsys, content):
+    params = tmp_path / "triggers.txt"
+    if content is not None:
+        params.write_text(content)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "dept_etc_noiseless", "--out", str(out),
+               "--override", f"trigger.params_file={params}"] + SMALL)
+    assert rc == EXIT_SCENARIO
+    assert not out.exists()
+    assert "trigger parameters" in capsys.readouterr().err
+
+
+def test_run_with_epochs_that_do_not_divide_the_delays(tmp_path):
+    # 45 s epochs: the 2-6 min pool delays are 2.67-8 epochs
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "dept_etc_noisy", "--out", str(out),
+               "--override", "run.t_epoch_s=45"] + SMALL)
+    assert rc == EXIT_OK
+    with open(out / "trace_dept_etc_seed1.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 40
 
 
 def test_import_does_not_load_scipy_signal():

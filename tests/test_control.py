@@ -148,7 +148,6 @@ def test_gain_matches_pinned_design(approx):
 def test_closed_loop_decay_rate(approx):
     gain = lqr_gain(build_state_space(DEFAULT_POOLS, approx), DEFAULT_WEIGHTS)
     assert gain.rho >= 0.006
-    assert gain.sign == -1.0
 
 
 def test_zero_cost_on_stable_plant_gives_zero_gain():

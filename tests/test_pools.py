@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wcbsim.pools import DEFAULT_POOLS, PoolParams, omega_n
+from wcbsim.pools import DEFAULT_POOLS, PoolParams
 
 
 def test_zero_damping_gives_phi():
-    assert omega_n(PoolParams(tau=4.0, alpha=6492.0, phi=0.48, zeta=0.0)) == 0.48
+    assert PoolParams(tau=4.0, alpha=6492.0, phi=0.48, zeta=0.0).omega_n == 0.48
 
 
 @pytest.mark.parametrize("phi", [0.48, 0.42])
@@ -18,7 +18,7 @@ def test_omega_n_against_high_precision(phi):
     with mpmath.workdps(50):
         expected = mpmath.mpf(phi) / mpmath.sqrt(1 - mpmath.mpf("0.0151") ** 2)
         expected = float(expected)
-    got = omega_n(PoolParams(tau=4.0, alpha=6492.0, phi=phi))
+    got = PoolParams(tau=4.0, alpha=6492.0, phi=phi).omega_n
     assert got == pytest.approx(expected, rel=1e-14)
 
 
