@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from wcbsim import plant
 from wcbsim.harness import (Scenario, ScenarioError, run_experiment,
                             scenario_preset, write_summary_csv,
                             write_trace_csv, write_trajectory_csv)
+from wcbsim.pools import N_POOLS
 from wcbsim.protocol import WCB_E, WCB_P
 
 
@@ -165,6 +167,48 @@ def test_event_variant_latency_exceeds_periodic():
     etc = run_experiment(short(duration_epochs=50))
     per = run_experiment(short("dept_periodic_noiseless", duration_epochs=50))
     assert etc.mean_latency_ms > per.mean_latency_ms
+
+
+class _PrescribedLevels:
+    """Stands in for plant.PlantStepper: every pool's level follows f(t)."""
+
+    def __init__(self, f, pools, dt, x2_realization=None):
+        self.f, self.dt, self.k = f, dt, 0
+
+    def advance(self, x, v, n):
+        t = (self.k + 1 + np.arange(n)) * self.dt
+        self.k += n
+        levels = np.repeat(self.f(t)[:, None], N_POOLS, axis=1)
+        x = x.copy()
+        x[0::plant.STATES_PER_POOL] = levels[-1]
+        return x, levels
+
+
+def iae_of_prescribed_levels(monkeypatch, f, duration_epochs=10):
+    # run_experiment on a plant whose levels are f(t) [min]: the report's IAE
+    # must be the closed-form mean of |f| over the run
+    monkeypatch.setattr(plant, "PlantStepper",
+                        lambda *a, **kw: _PrescribedLevels(f, *a, **kw))
+    sc = short("dept_periodic_noiseless", duration_epochs=duration_epochs,
+               initial_level_m=float(f(np.zeros(1))[0]), disturbances=())
+    return run_experiment(sc).iae_per_pool
+
+
+def test_iae_constant_signal(monkeypatch):
+    got = iae_of_prescribed_levels(monkeypatch, lambda t: np.full(t.shape, -0.3))
+    np.testing.assert_allclose(got, 0.3, rtol=1e-12)
+
+
+def test_iae_exponential_closed_form(monkeypatch):
+    # 10 one-minute epochs, time constant 1 min
+    got = iae_of_prescribed_levels(monkeypatch, lambda t: np.exp(-t))
+    np.testing.assert_allclose(got, (1.0 - math.exp(-10.0)) / 10.0, rtol=1e-6)
+
+
+def test_iae_rectified_sine(monkeypatch):
+    # one full period over the 10-minute run
+    got = iae_of_prescribed_levels(monkeypatch, lambda t: np.sin(2.0 * math.pi * t / 10.0))
+    np.testing.assert_allclose(got, 2.0 / math.pi, rtol=1e-6)
 
 
 def test_iae_per_pool_matches_trapezoid_rule():
