@@ -448,13 +448,14 @@ def write_trajectory_csv(report: RunReport, fh: io.TextIOBase) -> None:
     d5_steps = [(t, flow) for t, pool, flow in sc.disturbances if pool == N_POOLS - 1]
     d5_times = np.array([t for t, _ in d5_steps], dtype=float)
     d5_flows = np.array([0.0] + [flow for _, flow in d5_steps], dtype=float)
-    # the level recorded at t = g*dt ends step g-1, which ran under the flows of step g-1
+    # the level recorded at t = g*dt ends step g-1, which ran under the flows of
+    # step g-1 and the off-take at its midpoint, as run_experiment samples it
     steps = np.rint(report.t_min / sc.dt_min).astype(np.int64) - 1
     for lo in range(0, steps.size, TRAJ_BLOCK_ROWS):
         hi = lo + TRAJ_BLOCK_ROWS
-        t = report.t_min[lo:hi]
-        held = np.column_stack([report.switch_log.flows_at(steps[lo:hi]),
-                                d5_flows[np.searchsorted(d5_times, t, side="right")]])
+        block = steps[lo:hi]
+        d5 = d5_flows[np.searchsorted(d5_times, (block + 0.5) * sc.dt_min, side="right")]
+        held = np.column_stack([report.switch_log.flows_at(block), d5])
         # the held inputs are piecewise constant: format each run of rows with
         # the same bit pattern once (-0.0 == 0.0, but their reprs differ)
         bits = held.view(np.int64)
@@ -462,7 +463,7 @@ def write_trajectory_csv(report: RunReport, fh: io.TextIOBase) -> None:
         starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
         tails = ["," + ",".join(map(repr, row)) + "\n" for row in held[starts].tolist()]
         run_of_row = (np.cumsum(starts) - 1).tolist()
-        lead = np.column_stack([t, report.levels[lo:hi]]).tolist()
+        lead = np.column_stack([report.t_min[lo:hi], report.levels[lo:hi]]).tolist()
         fh.writelines([",".join(map(repr, row)) + tails[r]
                        for row, r in zip(lead, run_of_row)])
 

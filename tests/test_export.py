@@ -23,15 +23,18 @@ def _cell(v) -> str:
 
 
 def reference_trajectory_csv(report, fh) -> None:
-    """One row at a time, every cell formatted on its own."""
+    """One row at a time, every cell formatted on its own. The row at
+    t = g*dt holds the levels at the end of step g-1 and the flows and
+    off-take during that step."""
     cols = ["t_min"] + [f"y{i+1}" for i in range(N_POOLS)] \
         + [f"u{i+1}" for i in range(N_POOLS)] + ["d5"]
     fh.write(",".join(cols) + "\n")
     sc = report.scenario
     dist = plant.DisturbanceSchedule(list(sc.disturbances))
     steps = np.rint(report.t_min / sc.dt_min).astype(np.int64) - 1
-    for t, y, u in zip(report.t_min, report.levels, report.switch_log.flows_at(steps)):
-        d5 = dist.disturbance_at(t)[4]
+    for step, t, y, u in zip(steps, report.t_min, report.levels,
+                             report.switch_log.flows_at(steps)):
+        d5 = dist.disturbance_at((step + 0.5) * sc.dt_min)[4]
         fh.write(",".join([_cell(t)] + [_cell(v) for v in y]
                           + [_cell(v) for v in u] + [_cell(d5)]) + "\n")
 
@@ -97,3 +100,27 @@ def test_signed_zero_inputs_keep_their_sign():
                                    np.float64(2.5e-12), 3])
 def test_fmt_matches_row_writer_cells(value):
     assert _fmt(value) == _cell(value)
+
+
+def test_d5_is_the_offtake_of_the_step_that_ends_at_the_row(monkeypatch):
+    # on-grid step at 3 min; off-grid steps that snap to the step boundary
+    # after (6.0006 min) and before (9.0004 min) their time
+    integrated = []
+
+    class Recording(plant.PlantStepper):
+        def advance(self, x, v, n):
+            integrated.extend([v[-1]] * n)
+            return super().advance(x, v, n)
+
+    monkeypatch.setattr(plant, "PlantStepper", Recording)
+    report = run_experiment(scenario_preset(
+        "dept_etc_noiseless", duration_epochs=12, traj_every=1,
+        disturbances=((3.0, 4, 16.0), (6.0006, 4, 34.0), (9.0004, 4, 5.0))))
+    got, expected = _both(report)
+    assert got == expected
+    rows = [row.split(",") for row in got.splitlines()[1:]]
+    assert [float(row[11]) for row in rows] == integrated
+    around = {row[0]: row[11] for row in rows[2998:3001] + rows[5999:6002] + rows[8998:9001]}
+    assert around == {"2.999": "0.0", "3.0": "0.0", "3.001": "16.0",
+                      "6.0": "16.0", "6.001": "16.0", "6.002": "34.0",
+                      "8.999": "34.0", "9.0": "34.0", "9.001": "5.0"}
