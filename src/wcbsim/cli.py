@@ -19,6 +19,7 @@ import argparse
 import configparser
 import io
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,32 +55,37 @@ def _parse_disturbances(text: str):
     return tuple(out)
 
 
+def _fmt_float(v) -> str:
+    return repr(float(v))
+
+
 def _fmt_disturbances(steps):
-    return ", ".join(f"{t:g}:{pool + 1}:{flow:g}" for t, pool, flow in steps)
+    return ", ".join(f"{_fmt_float(t)}:{pool + 1}:{_fmt_float(flow)}"
+                     for t, pool, flow in steps)
 
 
 _SCHEMA = {
     ("run", "testbed"): ("testbed", str, str),
     ("run", "variant"): ("variant", lambda s: _VARIANT_NAMES[s], lambda v: _VARIANT_LABELS[v]),
     ("run", "duration_epochs"): ("duration_epochs", int, str),
-    ("run", "t_epoch_s"): ("t_epoch_s", float, lambda v: f"{v:g}"),
+    ("run", "t_epoch_s"): ("t_epoch_s", float, _fmt_float),
     ("run", "seed"): ("seed", int, str),
     ("run", "traj_every"): ("traj_every", int, str),
-    ("plant", "dt_min"): ("dt_min", float, lambda v: f"{v:g}"),
-    ("plant", "initial_level_m"): ("initial_level_m", float, lambda v: f"{v:g}"),
+    ("plant", "dt_min"): ("dt_min", float, _fmt_float),
+    ("plant", "initial_level_m"): ("initial_level_m", float, _fmt_float),
     ("plant", "delay_approx"): ("delay_approx", str, str),
     ("plant", "disturbances"): ("disturbances", _parse_disturbances, _fmt_disturbances),
-    ("noise", "level_std_m"): ("level_std_m", float, lambda v: f"{v:g}"),
-    ("noise", "flow_std"): ("flow_std", float, lambda v: f"{v:g}"),
+    ("noise", "level_std_m"): ("level_std_m", float, _fmt_float),
+    ("noise", "flow_std"): ("flow_std", float, _fmt_float),
     ("noise", "flow_noise_mode"): ("flow_noise_mode", str, str),
     ("noise", "x3_mode"): ("x3_mode", str, str),
     ("trigger", "scale"): ("trigger_scale",
                            lambda s: tuple(float(v) for v in s.split(",")),
-                           lambda v: ", ".join(f"{x:g}" for x in v)),
+                           lambda v: ", ".join(map(_fmt_float, v))),
     ("network", "n_event_slots"): ("n_event_slots", int, str),
     ("network", "max_recovery_pairs"): ("max_recovery_pairs", int, str),
     ("network", "n_ctrl_slots"): ("n_ctrl_slots", int, str),
-    ("network", "fp_rate"): ("fp_rate", float, lambda v: f"{v:g}"),
+    ("network", "fp_rate"): ("fp_rate", float, _fmt_float),
     ("network", "force_trigger"): ("force_trigger", lambda s: _BOOL[s.lower()],
                                    lambda v: "true" if v else "false"),
 }
@@ -97,12 +103,25 @@ def scenario_to_ini(scenario: Scenario) -> str:
     return buf.getvalue()
 
 
-def scenario_from_ini(text: str) -> Scenario:
+def scenario_from_ini(text: str, overrides: Sequence[str] = ()) -> Scenario:
+    """The validated scenario of an INI text, with `section.key=value`
+    overrides replacing or adding keys; every other value is kept as written."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse scenario file: {exc}")
+    for item in overrides:
+        try:
+            key, value = item.split("=", 1)
+            section, option = key.split(".", 1)
+        except ValueError:
+            raise ScenarioError(f"override must look like section.key=value: {item!r}")
+        if (section, option) not in _SCHEMA and (section, option) not in _EXTRA_KEYS:
+            raise ScenarioError(f"unknown override key {key!r}")
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, option, value)
     fields = {}
     for section in cp.sections():
         for key, value in cp.items(section):
@@ -126,35 +145,17 @@ def scenario_from_ini(text: str) -> Scenario:
     return scenario
 
 
-def load_scenario(spec: str, overrides: list[str]) -> Scenario:
+def load_scenario(spec: str, overrides: Sequence[str]) -> Scenario:
     path = Path(spec)
     if path.is_file():
-        scenario = scenario_from_ini(path.read_text())
+        text = path.read_text()
     elif spec in PRESET_NAMES:
-        scenario = scenario_preset(spec)
+        text = scenario_to_ini(scenario_preset(spec))
     else:
         raise ScenarioError(
             f"{spec!r} is neither a scenario file nor one of the presets "
             f"({', '.join(PRESET_NAMES)})")
-    if overrides:
-        cp = configparser.ConfigParser()
-        cp.read_string(scenario_to_ini(scenario))
-        for item in overrides:
-            try:
-                key, value = item.split("=", 1)
-                section, option = key.split(".", 1)
-            except ValueError:
-                raise ScenarioError(f"override must look like section.key=value: {item!r}")
-            if (section, option) not in _SCHEMA and (section, option) not in _EXTRA_KEYS:
-                raise ScenarioError(f"unknown override key {key!r}")
-            if not cp.has_section(section):
-                cp.add_section(section)
-            cp.set(section, option, value)
-        buf = io.StringIO()
-        cp.write(buf)
-        scenario = scenario_from_ini(buf.getvalue())
-    scenario.validate()
-    return scenario
+    return scenario_from_ini(text, overrides)
 
 
 def parse_seeds(spec: str) -> list[int]:

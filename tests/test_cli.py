@@ -11,6 +11,7 @@ import wcbsim
 from wcbsim.cli import (EXIT_DESIGN, EXIT_OK, EXIT_SCENARIO, load_scenario,
                         main, parse_seeds, scenario_from_ini, scenario_to_ini)
 from wcbsim.harness import Scenario, scenario_preset
+from wcbsim.triggers import DEFAULT_TRIGGERS
 
 SMALL = ["--override", "run.duration_epochs=40", "--override", "run.traj_every=200"]
 
@@ -27,6 +28,35 @@ def test_scenario_ini_round_trip():
     again = scenario_from_ini(text)
     assert again == sc
     assert scenario_to_ini(again) == text
+
+
+def test_overrides_keep_the_file_values(tmp_path):
+    ini = tmp_path / "fine.ini"
+    ini.write_text("[run]\nt_epoch_s = 1\n\n[plant]\ndt_min = 0.000333333333333\n"
+                   "initial_level_m = 0.0512345678\n")
+    sc = load_scenario(str(ini), ["run.seed=2"])
+    assert (sc.seed, sc.t_epoch_s) == (2, 1.0)
+    assert sc.dt_min == 0.000333333333333
+    assert sc.initial_level_m == 0.0512345678
+
+
+def test_overrides_keep_the_params_file(tmp_path):
+    params = tmp_path / "triggers.txt"
+    blocks = []
+    for j, (m, n, idx) in enumerate(zip(DEFAULT_TRIGGERS.M, DEFAULT_TRIGGERS.N,
+                                        DEFAULT_TRIGGERS.index_sets)):
+        rows = [" / ".join(" ".join(repr(float(v)) for v in row) for row in a)
+                for a in (m, n)]
+        theta = 0.5 if j == 0 else DEFAULT_TRIGGERS.theta[j]
+        blocks.append(f"node {j + 1} states {' '.join(map(str, idx))}\n"
+                      f"M {rows[0]}\nN {rows[1]}\ntheta {theta!r}\n")
+    params.write_text("".join(blocks))
+    ini = tmp_path / "custom.ini"
+    ini.write_text(f"[trigger]\nparams_file = {params}\n")
+    assert load_scenario(str(ini), []).trigger_params.theta[0] == 0.5
+    sc = load_scenario(str(ini), ["run.seed=2"])
+    assert sc.seed == 2
+    assert sc.trigger_params.theta == (0.5,) + DEFAULT_TRIGGERS.theta[1:]
 
 
 def test_unknown_keys_rejected():
