@@ -14,7 +14,10 @@ Integration is classical fixed-step RK4. Because the dynamics are LTI and
 all inputs are zero-order held on the step grid, one RK4 step is an affine
 map; `PlantStepper` exploits this to advance whole constant-input segments
 with cached matrix powers while producing the same trajectory as repeated
-`wis_step` calls (up to float round-off).
+single steps (up to float round-off). Transport delays are not plant
+states: the caller supplies each gate's flow from tau_i earlier as an
+input, so dt must divide every delay (`check_dt`). The tests keep a
+step-by-step reference integrator with per-gate delay ring buffers.
 """
 
 from __future__ import annotations
@@ -84,53 +87,6 @@ def plant_matrices(pools: tuple[PoolParams, ...], x2_realization: str = "pade"):
     return A, B
 
 
-@dataclass
-class WisPlantState:
-    """Plant state plus per-gate delay ring buffers of applied flows."""
-
-    pools: tuple[PoolParams, ...]
-    dt: float
-    y: np.ndarray
-    ydot: np.ndarray
-    yddot: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    delay_buffers: list[np.ndarray]
-    t: float = 0.0
-    x2_realization: str = "pade"
-
-    @classmethod
-    def initial(cls, pools: tuple[PoolParams, ...], dt: float, y0=0.0,
-                u0: float = 0.0, x2_realization: str = "pade") -> "WisPlantState":
-        check_dt(pools, dt)
-        y = np.full(N_POOLS, y0, dtype=float) if np.isscalar(y0) else np.asarray(y0, dtype=float).copy()
-        buffers = [np.full(_delay_steps(p, dt) + 1, u0, dtype=float) for p in pools]
-        return cls(pools=pools, dt=dt, y=y,
-                   ydot=np.zeros(N_POOLS), yddot=np.zeros(N_POOLS),
-                   x2=np.zeros(N_POOLS), x3=np.zeros(N_POOLS),
-                   delay_buffers=buffers, x2_realization=x2_realization)
-
-    def delayed_inputs(self) -> np.ndarray:
-        # buffer[1] is the flow applied tau minutes ago on the step grid
-        return np.array([buf[1] for buf in self.delay_buffers])
-
-    def as_vector(self) -> np.ndarray:
-        x = np.empty(N_STATES)
-        for i in range(N_POOLS):
-            o = STATES_PER_POOL * i
-            x[o:o + 5] = (self.y[i], self.ydot[i], self.yddot[i], self.x2[i], self.x3[i])
-        return x
-
-    def set_vector(self, x: np.ndarray) -> None:
-        for i in range(N_POOLS):
-            o = STATES_PER_POOL * i
-            self.y[i], self.ydot[i], self.yddot[i], self.x2[i], self.x3[i] = x[o:o + 5]
-
-
-def _delay_steps(pool: PoolParams, dt: float) -> int:
-    return int(round(pool.tau / dt))
-
-
 def check_dt(pools, dt: float) -> None:
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -155,41 +111,8 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, dt: float):
     return Phi, Gam
 
 
-def wis_step(state: WisPlantState, u_applied: np.ndarray, d: np.ndarray,
-             dt: float | None = None) -> WisPlantState:
-    """Advance the plant one RK4 step with flows and disturbances held.
-
-    Returns a new state; the input ring buffers are shifted by one step.
-    """
-    if dt is None:
-        dt = state.dt
-    elif abs(dt - state.dt) > 1e-12:
-        raise ValueError("step size must match the state's delay-buffer grid")
-    u_applied = np.asarray(u_applied, dtype=float)
-    d = np.asarray(d, dtype=float)
-
-    A, B = plant_matrices(state.pools, state.x2_realization)
-    Phi, Gam = rk4_affine_maps(A, B, dt)
-    v = np.concatenate([state.delayed_inputs(), u_applied, d])
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteState(f"non-finite inputs at t={state.t}")
-    x_new = Phi @ state.as_vector() + Gam @ v
-    if not np.all(np.isfinite(x_new)):
-        raise NonFiniteState(f"plant state diverged at t={state.t}")
-
-    new = WisPlantState(
-        pools=state.pools, dt=state.dt,
-        y=state.y.copy(), ydot=state.ydot.copy(), yddot=state.yddot.copy(),
-        x2=state.x2.copy(), x3=state.x3.copy(),
-        delay_buffers=[np.concatenate([buf[1:], [u]]) for buf, u in zip(state.delay_buffers, u_applied)],
-        t=state.t + dt, x2_realization=state.x2_realization,
-    )
-    new.set_vector(x_new)
-    return new
-
-
 class PlantStepper:
-    """Segment integrator equivalent to repeated `wis_step` calls.
+    """Segment integrator equivalent to repeated single RK4 steps.
 
     For a segment of n steps with constant inputs v the state advances as
     x <- Phi^n x + S_n Gam v with S_n = I + Phi + ... + Phi^(n-1); the
