@@ -445,16 +445,14 @@ def write_trajectory_csv(report: RunReport, fh: io.TextIOBase) -> None:
         + [f"u{i+1}" for i in range(N_POOLS)] + ["d5"]
     fh.write(",".join(cols) + "\n")
     sc = report.scenario
-    d5_steps = [(t, flow) for t, pool, flow in sc.disturbances if pool == N_POOLS - 1]
-    d5_times = np.array([t for t, _ in d5_steps], dtype=float)
-    d5_flows = np.array([0.0] + [flow for _, flow in d5_steps], dtype=float)
+    dist = plant.DisturbanceSchedule(list(sc.disturbances))
     # the level recorded at t = g*dt ends step g-1, which ran under the flows of
     # step g-1 and the off-take at its midpoint, as run_experiment samples it
     steps = np.rint(report.t_min / sc.dt_min).astype(np.int64) - 1
     for lo in range(0, steps.size, TRAJ_BLOCK_ROWS):
         hi = lo + TRAJ_BLOCK_ROWS
         block = steps[lo:hi]
-        d5 = d5_flows[np.searchsorted(d5_times, (block + 0.5) * sc.dt_min, side="right")]
+        d5 = dist.pool_disturbance_at(N_POOLS - 1, (block + 0.5) * sc.dt_min)
         held = np.column_stack([report.switch_log.flows_at(block), d5])
         # the held inputs are piecewise constant: format each run of rows with
         # the same bit pattern once (-0.0 == 0.0, but their reprs differ)

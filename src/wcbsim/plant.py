@@ -59,6 +59,13 @@ class DisturbanceSchedule:
                 d[pool] = flow
         return d
 
+    def pool_disturbance_at(self, pool: int, t: np.ndarray) -> np.ndarray:
+        """Off-take of one pool at each of the times `t`."""
+        own = [(time, flow) for time, p, flow in self.steps if p == pool]
+        times = np.array([time for time, _ in own], dtype=float)
+        flows = np.array([0.0] + [flow for _, flow in own], dtype=float)
+        return flows[np.searchsorted(times, t, side="right")]
+
 
 def plant_matrices(pools: tuple[PoolParams, ...], x2_realization: str = "pade"):
     """Continuous-time (A, B) of the stacked pool dynamics.

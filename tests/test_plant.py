@@ -235,6 +235,10 @@ def test_disturbance_schedule_reference_points():
     assert np.array_equal(sched.disturbance_at(200.0), [0, 0, 0, 0, 16.0])
     assert np.array_equal(sched.disturbance_at(500.0), [0, 0, 0, 0, 34.0])
     assert np.array_equal(sched.disturbance_at(700.0), np.zeros(5))
+    t = np.array([0.0, 179.999, 180.0, 449.0, 450.0, 599.0, 600.0, 700.0])
+    assert np.array_equal(sched.pool_disturbance_at(4, t),
+                          [sched.disturbance_at(v)[4] for v in t])
+    assert np.array_equal(sched.pool_disturbance_at(0, t), np.zeros(t.size))
 
 
 def test_disturbance_schedule_validation():
