@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from wcbsim.harness import run_experiment, scenario_preset
-from wcbsim.profiles import EPOCH_SWEEP_EVENTS, TESTBEDS, make_epoch_config
-from wcbsim.protocol import WCB_E, analytic_ton
+from wcbsim.profiles import EPOCH_SWEEP_EVENTS, TESTBEDS, epoch_sweep_row
 
 
 def fmt_ms(mean, std):
@@ -80,10 +79,9 @@ def main():
     print("T_epoch_s  events  epochs  F_ev%   DC_etc%  DC_per%  savings%")
     for dur in sorted(EPOCH_SWEEP_EVENTS, reverse=True):
         ev, ep = EPOCH_SWEEP_EVENTS[dur]
-        cfg = make_epoch_config(TESTBEDS["hall"], variant=WCB_E, t_epoch_s=float(dur))
-        _, _, dc_e, dc_p = analytic_ton(cfg, ev / ep)
-        print(f"{dur:9d}  {ev:6d}  {ep:6d}  {100 * ev / ep:5.1f}  "
-              f"{dc_e:8.3f} {dc_p:8.3f} {100 * (1 - dc_e / dc_p):9.1f}")
+        f_ev, dc_e, dc_p, savings = epoch_sweep_row(TESTBEDS["hall"], dur, ev, ep)
+        print(f"{dur:9d}  {ev:6d}  {ep:6d}  {f_ev:5.1f}  "
+              f"{dc_e:8.3f} {dc_p:8.3f} {savings:9.1f}")
     return 0
 
 

@@ -29,7 +29,7 @@ from . import control, harness, protocol, triggers
 from .harness import PRESET_NAMES, Scenario, ScenarioError, scenario_preset
 from .plant import NonFiniteState
 from .pools import DEFAULT_POOLS
-from .profiles import EPOCH_SWEEP_EVENTS, TESTBEDS, make_epoch_config
+from .profiles import EPOCH_SWEEP_EVENTS, TESTBEDS, epoch_sweep_row, make_epoch_config
 from .protocol import WCB_E, WCB_P
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ _EXTRA_KEYS = {("trigger", "params_file")}
 
 
 def scenario_to_ini(scenario: Scenario) -> str:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     for (section, key), (field_name, _, fmt) in _SCHEMA.items():
         if not cp.has_section(section):
             cp.add_section(section)
@@ -106,7 +106,7 @@ def scenario_to_ini(scenario: Scenario) -> str:
 def scenario_from_ini(text: str, overrides: Sequence[str] = ()) -> Scenario:
     """The validated scenario of an INI text, with `section.key=value`
     overrides replacing or adding keys; every other value is kept as written."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)   # a '%' is a plain character
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -160,15 +160,20 @@ def load_scenario(spec: str, overrides: Sequence[str]) -> Scenario:
 
 def parse_seeds(spec: str) -> list[int]:
     seeds = []
-    for token in spec.split(","):
-        token = token.strip()
-        if ".." in token:
-            lo, hi = token.split("..")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif token:
-            seeds.append(int(token))
+    try:
+        for token in spec.split(","):
+            token = token.strip()
+            if ".." in token:
+                lo, hi = token.split("..")
+                seeds.extend(range(int(lo), int(hi) + 1))
+            elif token:
+                seeds.append(int(token))
+    except ValueError:
+        raise ScenarioError(f"seeds must look like 1..8 or 3,5,9: {spec!r}") from None
     if not seeds:
         raise ScenarioError(f"no seeds in {spec!r}")
+    if min(seeds) < 0:
+        raise ScenarioError(f"seeds must be >= 0: {spec!r}")
     return seeds
 
 
@@ -178,7 +183,7 @@ def cmd_run(args) -> int:
         if args.profile:
             scenario = replace(scenario, testbed=args.profile)
             scenario.validate()
-        seeds = parse_seeds(args.seeds)
+        seeds = [scenario.seed] if args.seeds is None else parse_seeds(args.seeds)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
@@ -261,11 +266,8 @@ def cmd_energy_model(args) -> int:
         fh.write("T_epoch_s,events,epochs,F_ev_pct,DC_etc_pct,DC_periodic_pct,savings_pct\n")
         for dur in sorted(events, reverse=True):
             n_ev, n_ep = events[dur]
-            f_ev = n_ev / n_ep
-            cfg_d = make_epoch_config(profile, variant=WCB_E, t_epoch_s=float(dur))
-            _, _, dc_e, dc_p = protocol.analytic_ton(cfg_d, f_ev)
-            fh.write(f"{dur},{n_ev},{n_ep},{100 * f_ev!r},{dc_e!r},{dc_p!r},"
-                     f"{(1 - dc_e / dc_p) * 100.0!r}\n")
+            row = (dur, n_ev, n_ep, *epoch_sweep_row(profile, dur, n_ev, n_ep))
+            fh.write(",".join(map(repr, row)) + "\n")
     print(f"wrote duty-cycle sweeps to {out}")
     return EXIT_OK
 
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True,
                        help="preset name or scenario .ini file")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--seeds", default="1", help="e.g. 1..8 or 3,5,9")
+    p_run.add_argument("--seeds", help="e.g. 1..8 or 3,5,9 (default: the scenario's seed)")
     p_run.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
     p_run.add_argument("--profile", choices=sorted(TESTBEDS),

@@ -38,7 +38,6 @@ class NoStabilizingSolution(RuntimeError):
 class StateSpaceModel:
     A: np.ndarray
     B: np.ndarray
-    E: np.ndarray
     delay_approx: str = "pade"
 
 
@@ -82,7 +81,6 @@ def build_state_space(pools: tuple[PoolParams, ...], delay_approx: str = "pade")
         raise ValueError(f"unknown delay approximation {delay_approx!r}")
     A = np.zeros((N_DESIGN_STATES, N_DESIGN_STATES))
     B = np.zeros((N_DESIGN_STATES, N_POOLS))
-    E = np.zeros((N_DESIGN_STATES, N_POOLS))
     for i, p in enumerate(pools):
         A[i, N_POOLS + i] = 1.0 / p.tau
         A[N_POOLS + i, N_POOLS + i] = -2.0 / p.tau
@@ -94,8 +92,7 @@ def build_state_space(pools: tuple[PoolParams, ...], delay_approx: str = "pade")
             B[N_POOLS + i, i] = 2.0 / p.alpha
         if i + 1 < N_POOLS:
             B[i, i + 1] += -1.0 / p.alpha
-        E[i, i] = -1.0 / p.alpha
-    return StateSpaceModel(A=A, B=B, E=E, delay_approx=delay_approx)
+    return StateSpaceModel(A=A, B=B, delay_approx=delay_approx)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:

@@ -110,12 +110,19 @@ class Scenario:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         if self.duration_epochs < 1:
             raise ScenarioError("duration must be at least one epoch")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         reals = [self.t_epoch_s, self.dt_min, self.initial_level_m, self.level_std_m,
-                 self.flow_std, self.fp_rate, *(v for step in self.disturbances for v in step)]
+                 self.flow_std, self.fp_rate, *self.trigger_scale,
+                 *(v for step in self.disturbances for v in step)]
         if not all(math.isfinite(v) for v in reals):
             raise ScenarioError("scenario values must be finite")
         if self.t_epoch_s <= 0 or self.dt_min <= 0:
             raise ScenarioError("epoch duration and dt must be positive")
+        steps = self.t_epoch_s * SEC_TO_MIN / self.dt_min
+        step_times = [steps] + [t / self.dt_min for t, _, _ in self.disturbances]
+        if not all(math.isfinite(v) for v in step_times):
+            raise ScenarioError("the epoch and disturbance times must be finite in steps of dt")
         if self.level_std_m < 0 or self.flow_std < 0:
             raise ScenarioError("noise standard deviations must be >= 0")
         if self.flow_noise_mode not in ("filtered", "direct"):
@@ -138,7 +145,6 @@ class Scenario:
         if len(self.trigger_scale) != 3:
             raise ScenarioError("trigger scale needs exactly 3 values "
                                 "(level, flow filter, level integral)")
-        steps = self.t_epoch_s * SEC_TO_MIN / self.dt_min
         if abs(steps - round(steps)) > 1e-9:
             raise ScenarioError("dt must divide the epoch duration")
         violations = triggers.validate_params(self.trigger_params)
@@ -319,9 +325,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
             n_triggered = cfg.n_sensors
             fire = True
         else:
-            fired = {1 + j for j, idx in enumerate(node_states)
-                     if triggers.node_trigger(j, z_scaled[idx], xhat_node[idx],
-                                              sc.trigger_params)}
+            fired = triggers.node_trigger(sc.trigger_params, z_scaled, xhat_node)
             n_triggered = len(fired)
             if n_triggered > 0:
                 erng = stream_rng(sc.seed, "event", epoch)

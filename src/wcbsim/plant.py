@@ -22,6 +22,7 @@ step-by-step reference integrator with per-gate delay ring buffers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +100,7 @@ def check_dt(pools, dt: float) -> None:
         raise ValueError("dt must be positive")
     for p in pools:
         ratio = p.tau / dt
-        if abs(ratio - round(ratio)) > 1e-6 * ratio:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-6 * ratio:
             raise ValueError(f"dt={dt} does not divide transport delay tau={p.tau}")
 
 

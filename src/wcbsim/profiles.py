@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .protocol import A, CTRL, EV, S, T, WCB_E, EpochConfig, SlotConfig
+from .protocol import A, CTRL, EV, S, T, WCB_E, EpochConfig, SlotConfig, analytic_ton
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,16 @@ EPOCH_SWEEP_EVENTS = {
     5: (237, 17280),
     1: (268, 86400),
 }
+
+
+def epoch_sweep_row(profile: TestbedProfile, t_epoch_s: int, n_events: int,
+                    n_epochs: int) -> tuple[float, float, float, float]:
+    """Analytic (F_ev, DC_etc, DC_periodic, savings), all in %, of one
+    epoch duration at the event-epoch frequency n_events / n_epochs."""
+    f_ev = n_events / n_epochs
+    cfg = make_epoch_config(profile, variant=WCB_E, t_epoch_s=float(t_epoch_s))
+    _, _, dc_e, dc_p = analytic_ton(cfg, f_ev)
+    return 100 * f_ev, dc_e, dc_p, (1 - dc_e / dc_p) * 100.0
 
 
 def make_epoch_config(profile: TestbedProfile | str, variant: str = WCB_E,

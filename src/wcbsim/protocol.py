@@ -64,7 +64,6 @@ class EpochConfig:
     preamble_ms: float
     fp_rate: float = 0.0
     sdr_table: dict[int, dict[int, float]] = field(default_factory=dict)
-    contention_pdr: float | None = None   # defaults to the T-slot pdr
 
     @property
     def n_nodes(self) -> int:
@@ -270,7 +269,6 @@ def run_epoch(schedule: EpochSchedule, participants: set[int],
 
     # recovery: contenders compete in shared T slots until acknowledged;
     # the controller keeps listening while any of the K readings is missing
-    contention_pdr = cfg.contention_pdr if cfg.contention_pdr is not None else slots[T].pdr
     rounds_used = 0
     for _ in range(cfg.max_recovery_pairs):
         controller_needs = controller_on and len(received) < cfg.n_sensors
@@ -283,7 +281,7 @@ def run_epoch(schedule: EpochSchedule, participants: set[int],
         for sid in contenders:
             radio[sid] += pair_cost
         if contenders and controller_on:
-            if flood_outcome(contention_pdr, 1, rng)[0]:
+            if flood_outcome(slots[T].pdr, 1, rng)[0]:
                 winner = contenders[int(rng.integers(len(contenders)))]
                 received.setdefault(winner, readings[winner])
         if controller_on:

@@ -15,18 +15,11 @@ unknown step disturbances; flow nodes have N_j = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 PSD_TOL = -1e-12  # absorbs rounding in 4-significant-digit reference matrices
-
-
-class DimensionMismatch(ValueError):
-    pass
-
-
-class BlockStructureViolation(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -35,16 +28,13 @@ class TriggerParams:
 
     index_sets[j] lists the design-state indices measured by node j
     (0-based into the 15-vector (x1_1..x1_5, x2_1..x2_5, x3_1..x3_5)).
-    The centralized budget epsilon^2 is the sum of the per-node budgets
-    unless explicitly overridden (an override that disagrees with the sum
-    is reported by validate_params).
+    The centralized budget epsilon^2 is the sum of the per-node budgets.
     """
 
     M: tuple[np.ndarray, ...]
     N: tuple[np.ndarray, ...]
     theta: tuple[float, ...]
     index_sets: tuple[tuple[int, ...], ...]
-    epsilon_sq_override: float | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -52,9 +42,18 @@ class TriggerParams:
 
     @property
     def epsilon_sq(self) -> float:
-        if self.epsilon_sq_override is not None:
-            return float(self.epsilon_sq_override)
         return float(sum(self.theta))
+
+    @cached_property
+    def block_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(M, N, owner, theta): the block-diagonal matrices over all states,
+        the 0-based node that measures each state, and the budgets."""
+        n_states = sum(len(idx) for idx in self.index_sets)
+        owner = np.empty(n_states, dtype=np.intp)
+        for j, idx in enumerate(self.index_sets):
+            owner[list(idx)] = j
+        M, N = assemble_centralized(self, n_states)
+        return M, N, owner, np.asarray(self.theta, dtype=float)
 
 
 def _sym(rows) -> np.ndarray:
@@ -97,45 +96,18 @@ DEFAULT_TRIGGERS = TriggerParams(M=DEFAULT_M, N=DEFAULT_N, theta=DEFAULT_THETA,
                                index_sets=DEFAULT_INDEX_SETS)
 
 
-def node_trigger(j: int, x_j: np.ndarray, xhat_j: np.ndarray,
-                 params: TriggerParams) -> bool:
-    """True iff node j must transmit given its current and held measurements."""
-    M = params.M[j]
-    N = params.N[j]
-    x_j = np.atleast_1d(np.asarray(x_j, dtype=float))
-    xhat_j = np.atleast_1d(np.asarray(xhat_j, dtype=float))
-    if x_j.shape != (M.shape[0],) or xhat_j.shape != (M.shape[0],):
-        raise DimensionMismatch(
-            f"node {j} expects {M.shape[0]} measurements, got {x_j.shape}/{xhat_j.shape}")
-    e = xhat_j - x_j
-    return float(e @ M @ e - x_j @ N @ x_j) > params.theta[j]
+def node_trigger(params: TriggerParams, x: np.ndarray, xhat: np.ndarray) -> tuple[int, ...]:
+    """1-based ids of the nodes whose test fires, given the current values x
+    and the held values xhat of all design states.
 
-
-def centralized_trigger(e: np.ndarray, x: np.ndarray, M: np.ndarray,
-                        N: np.ndarray, epsilon_sq: float,
-                        index_sets=None) -> bool:
-    """Centralized form e'Me - x'Nx > eps^2; M, N must be block diagonal
-    with respect to the node partition when one is supplied."""
-    e = np.asarray(e, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if e.shape != x.shape or M.shape != (e.size, e.size) or N.shape != M.shape:
-        raise DimensionMismatch("centralized trigger dimension mismatch")
-    if index_sets is not None:
-        _check_block_structure(M, index_sets)
-        _check_block_structure(N, index_sets)
-    return float(e @ M @ e - x @ N @ x) > epsilon_sq
-
-
-def _check_block_structure(M: np.ndarray, index_sets) -> None:
-    owner = {}
-    for j, idxs in enumerate(index_sets):
-        for i in idxs:
-            owner[i] = j
-    rows, cols = np.nonzero(np.abs(M) > 0)
-    for r, c in zip(rows, cols):
-        if owner.get(int(r)) != owner.get(int(c)):
-            raise BlockStructureViolation(
-                f"matrix couples states {r} and {c} across nodes")
+    The index sets must partition the states 0..n-1, as Scenario.validate
+    checks; shapes are checked once there, by validate_params.
+    """
+    M, N, owner, theta = params.block_form
+    e = xhat - x
+    n = params.n_nodes
+    value = np.bincount(owner, e * (M @ e), n) - np.bincount(owner, x * (N @ x), n)
+    return tuple((np.flatnonzero(value > theta) + 1).tolist())
 
 
 def assemble_centralized(params: TriggerParams, n_states: int = 15):
@@ -173,9 +145,6 @@ def validate_params(params: TriggerParams) -> list[str]:
                 violations.append(
                     f"state {i} measured by nodes {seen[i] + 1} and {j + 1}")
             seen[i] = j
-    if (params.epsilon_sq_override is not None
-            and abs(sum(params.theta) - params.epsilon_sq_override) > 1e-9):
-        violations.append("budget mismatch: sum(theta) != epsilon^2")
     return violations
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -6,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wcbsim
-from wcbsim.cli import (EXIT_DESIGN, EXIT_OK, EXIT_SCENARIO, load_scenario,
-                        main, parse_seeds, scenario_from_ini, scenario_to_ini)
-from wcbsim.harness import Scenario, scenario_preset
+from wcbsim.cli import (_EXTRA_KEYS, _SCHEMA, EXIT_DESIGN, EXIT_OK, EXIT_SCENARIO,
+                        load_scenario, main, parse_seeds, scenario_from_ini,
+                        scenario_to_ini)
+from wcbsim.harness import Scenario, ScenarioError, scenario_preset
 from wcbsim.triggers import DEFAULT_TRIGGERS
 
 SMALL = ["--override", "run.duration_epochs=40", "--override", "run.traj_every=200"]
@@ -20,6 +25,9 @@ def test_seed_specs():
     assert parse_seeds("1..8") == [1, 2, 3, 4, 5, 6, 7, 8]
     assert parse_seeds("3,5,9") == [3, 5, 9]
     assert parse_seeds("2") == [2]
+    for bad in ("-2", "0..-1", "x", "1..2..3", ""):
+        with pytest.raises(ScenarioError):
+            parse_seeds(bad)
 
 
 def test_scenario_ini_round_trip():
@@ -113,20 +121,31 @@ def test_malformed_scenario_exits_2_without_output(tmp_path, capsys):
                                       "plant.initial_level_m=inf",
                                       "plant.dt_min=0",
                                       "plant.dt_min=-0.001",
-                                      "run.t_epoch_s=45 plant.dt_min=0.75"])
+                                      "run.t_epoch_s=45 plant.dt_min=0.75",
+                                      "run.seed=5%",
+                                      "trigger.params_file=a%b",
+                                      "plant.dt_min=1e-320",
+                                      "run.t_epoch_s=1e308",
+                                      "plant.disturbances=1e308:1:1",
+                                      "trigger.scale=1,nan,1",
+                                      "run.seed=-1",
+                                      "--seeds=-2",
+                                      "--seeds=1..x"])
 def test_out_of_range_override_exits_2_without_output(tmp_path, capsys, override):
     out = tmp_path / "out"
     argv = ["run", "--scenario", "dept_etc_noiseless", "--out", str(out)] + SMALL
     for item in override.split():
-        argv += ["--override", item]
+        argv += [item] if item.startswith("--") else ["--override", item]
     rc = main(argv)
     assert rc == EXIT_SCENARIO
     assert not out.exists()
     assert "scenario error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, "node 1 states 0 10\nM 0.6 x / 0 1\n"],
-                         ids=["missing", "malformed"])
+@pytest.mark.parametrize("content", [None, "node 1 states 0 10\nM 0.6 x / 0 1\n",
+                                     "node 1 states 0 10\nM 1 0 0 / 0 1 0 / 0 0 1\n"
+                                     "N 0 0 0 / 0 0 0 / 0 0 0\ntheta 0.5\n"],
+                         ids=["missing", "malformed", "3x3-for-2-states"])
 def test_bad_params_file_exits_2_without_output(tmp_path, capsys, content):
     params = tmp_path / "triggers.txt"
     if content is not None:
@@ -137,6 +156,42 @@ def test_bad_params_file_exits_2_without_output(tmp_path, capsys, content):
     assert rc == EXIT_SCENARIO
     assert not out.exists()
     assert "trigger parameters" in capsys.readouterr().err
+
+
+def test_percent_sign_in_a_scenario_file_exits_2_without_output(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[run]\nseed = 5%\n")
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(bad), "--out", str(out)])
+    assert rc == EXIT_SCENARIO
+    assert not out.exists()
+    assert "scenario error" in capsys.readouterr().err
+
+
+def test_run_defaults_to_the_scenario_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "dept_etc_noiseless", "--out", str(out),
+               "--override", "run.seed=7"] + SMALL)
+    assert rc == EXIT_OK
+    with open(out / "summary.csv") as fh:
+        assert [row["seed"] for row in csv.DictReader(fh)] == ["7"]
+    assert (out / "trajectory_dept_etc_seed7.csv").exists()
+    assert capsys.readouterr().out.startswith("7,")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SCHEMA) + sorted(_EXTRA_KEYS)),
+       st.sampled_from(["%", "5%", "nan", "-nan", "inf", "1e-320", "1e308", "-1", "0",
+                        "", "1,nan,1", "1e308:1:1", "1:9:1"])
+       | st.text(alphabet="0123456789-.,:%eE naiftrue", max_size=5))
+def test_validate_exits_0_or_2_for_any_override(key, value):
+    # validate simulates nothing, so no drawn value can start a long run
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["validate", "--override", f"{key[0]}.{key[1]}={value}"])
+    assert rc in (EXIT_OK, EXIT_SCENARIO)
+    if rc == EXIT_SCENARIO:
+        assert err.getvalue().startswith("violation: ")
 
 
 def test_run_with_epochs_that_do_not_divide_the_delays(tmp_path):

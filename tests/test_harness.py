@@ -108,7 +108,10 @@ def test_scenario_validation_errors():
                 dict(flow_std=math.nan), dict(initial_level_m=math.inf),
                 dict(dt_min=0.0), dict(dt_min=-0.001),
                 dict(t_epoch_s=45.0, dt_min=0.75),
-                dict(n_event_slots=0)):
+                dict(n_event_slots=0), dict(seed=-1),
+                dict(dt_min=1e-320), dict(t_epoch_s=1e308),
+                dict(disturbances=((1e308, 4, 1.0),)),
+                dict(trigger_scale=(1.0, math.nan, 1.0))):
         with pytest.raises(ScenarioError):
             Scenario(**bad).validate()
     # forced triggering skips the event phase and needs no EV slot
