@@ -241,9 +241,6 @@ def cmd_energy_model(args) -> int:
         print(f"unknown profile {args.profile!r}", file=sys.stderr)
         return EXIT_SCENARIO
     profile = TESTBEDS[args.profile]
-    if any(s.t_on_ms <= 0 for s in profile.slots.values()):
-        print("profile lacks radio-on calibration", file=sys.stderr)
-        return EXIT_SCENARIO
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

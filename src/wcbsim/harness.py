@@ -1,7 +1,7 @@
 """Epoch-loop co-simulation binding plant, triggers, protocol, and controller.
 
 Timing semantics: sensors sample the (paused) plant exactly at each epoch
-start; the protocol decides which readings reach the controller and when
+start; the protocol decides which samples reach the controller and when
 each actuator hears the new command; the plant then integrates across the
 epoch with every gate flow switching at the integration step nearest its
 command arrival time. Gate flows are held between successful
@@ -37,6 +37,13 @@ SEC_TO_MIN = 1.0 / 60.0
 # plant-state rows of the design state z = (x1_1..x1_5, x2_1..x2_5, x3_1..x3_5)
 DESIGN_ROWS = np.concatenate([np.arange(N_POOLS) * plant.STATES_PER_POOL + k
                               for k in (0, 3, 4)])
+
+
+# the most memory one run may record: 48 B per trajectory row (time and five
+# levels) plus about TRACE_BYTES per epoch trace. A 1 s-epoch day at
+# dt = 20 ms (86 400 epochs, 4.32 M rows) records 0.3 GB.
+MAX_RECORD_BYTES = 2**30
+TRACE_BYTES = 1100
 
 
 class ScenarioError(ValueError):
@@ -147,6 +154,10 @@ class Scenario:
                                 "(level, flow filter, level integral)")
         if abs(steps - round(steps)) > 1e-9:
             raise ScenarioError("dt must divide the epoch duration")
+        n_rows = self.duration_epochs * round(steps) // self.traj_every
+        if n_rows * 8 * (1 + N_POOLS) + self.duration_epochs * TRACE_BYTES > MAX_RECORD_BYTES:
+            raise ScenarioError(f"{self.duration_epochs} epochs with {n_rows} trajectory rows "
+                                f"exceed the {MAX_RECORD_BYTES} B a run may record")
         violations = triggers.validate_params(self.trigger_params)
         if violations:
             raise ScenarioError("bad trigger parameters: " + "; ".join(violations))
@@ -265,7 +276,6 @@ def run_experiment(scenario: Scenario) -> RunReport:
         x[plant.STATES_PER_POOL * i] = sc.initial_level_m
 
     cfg = sc.epoch_config()
-    schedule = protocol.build_schedule(cfg)
     dist = plant.DisturbanceSchedule(list(sc.disturbances))
     lags = [int(round(p.tau / dt)) for p in pools]     # transport delays in steps
     switches = SwitchLog(N_POOLS)
@@ -327,10 +337,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
         else:
             fired = triggers.node_trigger(sc.trigger_params, z_scaled, xhat_node)
             n_triggered = len(fired)
-            if n_triggered > 0:
-                erng = stream_rng(sc.seed, "event", epoch)
-            else:
-                erng = stream_rng(sc.seed, "falsepos", epoch)
+            erng = stream_rng(sc.seed, "event" if fired else "falsepos", epoch)
             detected = protocol.event_phase(fired, cfg, erng)
             participants = {sid for sid in cfg.sensor_ids() if detected[sid]}
             controller_on = bool(detected[0])
@@ -339,12 +346,9 @@ def run_experiment(scenario: Scenario) -> RunReport:
 
         # --- network epoch ---
         if fire:
-            readings = {1 + j: tuple(z[idx].tolist()) for j, idx in enumerate(node_states)}
-            trace = protocol.run_epoch(
-                schedule, participants, readings, cfg,
-                stream_rng(sc.seed, "network", epoch), epoch=epoch,
-                controller_on=controller_on, actuators_on=actuators_on,
-                n_triggered=n_triggered, event_flag=True)
+            trace = protocol.run_epoch(participants, cfg, stream_rng(sc.seed, "network", epoch),
+                                       epoch=epoch, controller_on=controller_on,
+                                       actuators_on=actuators_on, n_triggered=n_triggered)
         else:
             trace = protocol.quiet_trace(epoch, cfg)
         traces.append(trace)
@@ -354,8 +358,9 @@ def run_experiment(scenario: Scenario) -> RunReport:
 
         # --- controller update and actuation ---
         if trace.controller_on and trace.participants:
-            for sid, payload in trace.received.items():
-                xhat_ctrl[node_states[sid - 1]] = payload
+            for sid in trace.received:
+                idx = node_states[sid - 1]
+                xhat_ctrl[idx] = z[idx]
             u_cmd = control.control_law(gain, xhat_ctrl)
             lat = trace.last_latency_ms
             if math.isfinite(lat):
@@ -456,7 +461,7 @@ def write_trajectory_csv(report: RunReport, fh: io.TextIOBase) -> None:
     for lo in range(0, steps.size, TRAJ_BLOCK_ROWS):
         hi = lo + TRAJ_BLOCK_ROWS
         block = steps[lo:hi]
-        d5 = dist.pool_disturbance_at(N_POOLS - 1, (block + 0.5) * sc.dt_min)
+        d5 = dist.disturbance_at((block + 0.5) * sc.dt_min)[:, N_POOLS - 1]
         held = np.column_stack([report.switch_log.flows_at(block), d5])
         # the held inputs are piecewise constant: format each run of rows with
         # the same bit pattern once (-0.0 == 0.0, but their reprs differ)

@@ -52,20 +52,16 @@ class DisturbanceSchedule:
             raise ValueError("disturbance step times must be strictly increasing")
         if any(flow < 0 for _, _, flow in self.steps):
             raise ValueError("off-take flows must be non-negative")
+        # row k holds every pool's off-take once the first k steps have happened
+        self._times = np.array(times, dtype=float)
+        self._table = np.zeros((len(self.steps) + 1, N_POOLS))
+        for k, (_, pool, flow) in enumerate(self.steps):
+            self._table[k + 1:, pool] = flow
 
-    def disturbance_at(self, t: float) -> np.ndarray:
-        d = np.zeros(N_POOLS)
-        for time, pool, flow in self.steps:
-            if t >= time:
-                d[pool] = flow
-        return d
-
-    def pool_disturbance_at(self, pool: int, t: np.ndarray) -> np.ndarray:
-        """Off-take of one pool at each of the times `t`."""
-        own = [(time, flow) for time, p, flow in self.steps if p == pool]
-        times = np.array([time for time, _ in own], dtype=float)
-        flows = np.array([0.0] + [flow for _, flow in own], dtype=float)
-        return flows[np.searchsorted(times, t, side="right")]
+    def disturbance_at(self, t) -> np.ndarray:
+        """Off-take of every pool at time t [min]: shape (5,) for a scalar t,
+        (len(t), 5) for an array of times."""
+        return self._table[np.searchsorted(self._times, t, side="right")]
 
 
 def plant_matrices(pools: tuple[PoolParams, ...], x2_realization: str = "pade"):

@@ -4,8 +4,11 @@ An epoch's active portion is a fixed slot plan: a synchronization flood S,
 (event-triggered variant only) E shared event-notification slots EV, K
 dedicated sensor collection slots T, a cumulative acknowledgment flood A,
 R contention/acknowledgment pairs for recovery, and C repeated command
-dissemination slots CTRL. Per-slot flood outcomes are i.i.d. Bernoulli
-draws at empirically measured delivery rates; the PHY is abstracted away.
+dissemination slots CTRL. The recovery pairs sit at fixed offsets whether
+used or not, so `EpochConfig` computes every CTRL slot end from the counts
+alone and dissemination timing never depends on losses. Per-slot flood
+outcomes are i.i.d. Bernoulli draws at empirically measured delivery rates;
+the PHY is abstracted away.
 
 Node ids: 0 is the controller, 1..K the sensors, K+1..K+n_actuators the
 actuators. All awake nodes relay every flood, so radio-on time is charged
@@ -17,13 +20,12 @@ acknowledged sensors skip recovery, everything sleeps after the last CTRL).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 S, EV, T, A, CTRL = "S", "EV", "T", "A", "CTRL"
-SLOT_KINDS = (S, EV, T, A, CTRL)
-SHARED = -1
 
 WCB_E = "WCB-E"
 WCB_P = "WCB-P"
@@ -35,10 +37,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SlotConfig:
-    """One slot type: retransmissions, duration, network-mean delivery rate,
-    and the per-node radio-on charge for taking part in the slot."""
+    """One slot type: duration, network-mean delivery rate, and the per-node
+    radio-on charge for taking part in the slot."""
 
-    n_tx: int
     duration_ms: float
     pdr: float
     t_on_ms: float
@@ -84,7 +85,43 @@ class EpochConfig:
             raise ConfigError("event-triggered variant needs at least one EV slot")
         if not 0.0 <= self.fp_rate <= 1.0:
             raise ConfigError(f"fp_rate must be a probability, got {self.fp_rate}")
-        build_schedule(self)  # raises if the active portion does not fit
+        epoch_ms = self.t_epoch_s * 1000.0
+        # each slot takes at least the shortest duration plus a gap, so a plan
+        # with more slots than fit is refused before any count meets a float:
+        # a count of any size is refused at once, and none overflows
+        n_slots = sum(n for _, n in self._plan()) + self.n_ctrl_slots
+        shortest = min(s.duration_ms for s in self.slots.values()) + self.gap_ms
+        if not n_slots < epoch_ms / shortest < math.inf or self.active_end_ms >= epoch_ms:
+            raise ConfigError(f"{n_slots} slots do not fit in the {epoch_ms:.0f} ms epoch")
+
+    def _plan(self) -> tuple[tuple[str, int], ...]:
+        """(kind, count) of the slots before the first CTRL slot."""
+        r = self.max_recovery_pairs
+        return ((S, 1), (EV, self.n_event_slots if self.variant == WCB_E else 0),
+                (T, self.n_sensors + r), (A, 1 + r))
+
+    @property
+    def _ctrl_start_ms(self) -> float:
+        return self.preamble_ms + sum(n * (self.slots[kind].duration_ms + self.gap_ms)
+                                      for kind, n in self._plan())
+
+    @property
+    def ctrl_ends_ms(self) -> tuple[float, ...]:
+        """End of each CTRL slot, measured from the epoch start."""
+        start, w = self._ctrl_start_ms, self.slots[CTRL].duration_ms
+        return tuple(start + j * (w + self.gap_ms) + w for j in range(self.n_ctrl_slots))
+
+    @property
+    def listen_on_ms(self) -> float:
+        """Per-node radio-on of every epoch: sync, and EV if event-triggered."""
+        ev = self.n_event_slots * self.slots[EV].t_on_ms if self.variant == WCB_E else 0.0
+        return self.slots[S].t_on_ms + ev
+
+    @property
+    def active_end_ms(self) -> float:
+        """End of the active portion: the last CTRL slot plus one gap."""
+        w = self.slots[CTRL].duration_ms
+        return self._ctrl_start_ms + self.n_ctrl_slots * (w + self.gap_ms)
 
     def sdr(self, n_senders: int) -> float:
         """Signal detection probability for the whole EV phase, interpolated
@@ -94,69 +131,11 @@ class EpochConfig:
             # no measurement for this EV-slot count; fall back to the pdr
             return self.slots[EV].pdr
         us = sorted(table)
-        if n_senders <= us[0]:
-            return table[us[0]]
-        if n_senders >= us[-1]:
-            return table[us[-1]]
-        for lo, hi in zip(us, us[1:]):
-            if lo <= n_senders <= hi:
-                f = (n_senders - lo) / (hi - lo)
-                return table[lo] + f * (table[hi] - table[lo])
-        raise AssertionError
-
-
-@dataclass(frozen=True)
-class Slot:
-    kind: str
-    owner: int            # node id, or SHARED
-    start_ms: float
-    duration_ms: float
-
-    @property
-    def end_ms(self) -> float:
-        return self.start_ms + self.duration_ms
-
-
-@dataclass(frozen=True)
-class EpochSchedule:
-    slots: tuple[Slot, ...]
-    active_end_ms: float
-
-    def of_kind(self, kind: str) -> list[Slot]:
-        return [s for s in self.slots if s.kind == kind]
-
-
-def build_schedule(cfg: EpochConfig) -> EpochSchedule:
-    """Deterministic slot plan; recovery pairs sit at fixed offsets whether
-    used or not, so dissemination timing never depends on losses."""
-    slots: list[Slot] = []
-    cursor = cfg.preamble_ms
-
-    def push(kind: str, owner: int):
-        nonlocal cursor
-        w = cfg.slots[kind].duration_ms
-        slots.append(Slot(kind=kind, owner=owner, start_ms=cursor, duration_ms=w))
-        cursor += w + cfg.gap_ms
-
-    push(S, 0)
-    if cfg.variant == WCB_E:
-        for _ in range(cfg.n_event_slots):
-            push(EV, SHARED)
-    for sid in cfg.sensor_ids():
-        push(T, sid)
-    push(A, 0)
-    for _ in range(cfg.max_recovery_pairs):
-        push(T, SHARED)
-        push(A, 0)
-    for _ in range(cfg.n_ctrl_slots):
-        push(CTRL, 0)
-
-    active_end = slots[-1].end_ms + cfg.gap_ms
-    if active_end >= cfg.t_epoch_s * 1000.0:
-        raise ConfigError(
-            f"active portion {active_end:.1f} ms does not fit in the "
-            f"{cfg.t_epoch_s * 1000.0:.0f} ms epoch")
-    return EpochSchedule(slots=tuple(slots), active_end_ms=active_end)
+        i = bisect_left(us, n_senders)
+        if i == 0 or n_senders >= us[-1]:
+            return table[us[0] if i == 0 else us[-1]]
+        lo, hi = us[i - 1], us[i]
+        return table[lo] + (n_senders - lo) / (hi - lo) * (table[hi] - table[lo])
 
 
 def flood_outcome(pdr: float, n_receivers: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,12 +170,11 @@ def event_phase(triggered: set[int], cfg: EpochConfig,
 @dataclass
 class EpochTrace:
     epoch: int
-    variant: str
     event_flag: bool
     n_triggered: int
     participants: tuple[int, ...]
     controller_on: bool
-    received: dict[int, object]
+    received: tuple[int, ...]           # sensors whose sample reached the controller
     recovery_rounds_used: int
     unresolved: tuple[int, ...]
     act_latency_ms: np.ndarray          # per actuator; nan = missed all CTRL floods
@@ -210,24 +188,17 @@ class EpochTrace:
 
 def quiet_trace(epoch: int, cfg: EpochConfig) -> EpochTrace:
     """Epoch in which nobody detected an event: sync plus EV listening only."""
-    radio = np.zeros(cfg.n_nodes)
-    radio += cfg.slots[S].t_on_ms
-    if cfg.variant == WCB_E:
-        radio += cfg.n_event_slots * cfg.slots[EV].t_on_ms
     return EpochTrace(
-        epoch=epoch, variant=cfg.variant, event_flag=False, n_triggered=0,
-        participants=(), controller_on=False, received={},
-        recovery_rounds_used=0, unresolved=(),
+        epoch=epoch, event_flag=False, n_triggered=0, participants=(), controller_on=False,
+        received=(), recovery_rounds_used=0, unresolved=(),
         act_latency_ms=np.full(cfg.n_actuators, np.nan),
-        radio_on_ms=radio)
+        radio_on_ms=np.full(cfg.n_nodes, cfg.listen_on_ms))
 
 
-def run_epoch(schedule: EpochSchedule, participants: set[int],
-              readings: dict[int, object], cfg: EpochConfig,
+def run_epoch(participants: set[int], cfg: EpochConfig,
               rng: np.random.Generator, epoch: int = 0,
               controller_on: bool = True, actuators_on: set[int] | None = None,
-              n_triggered: int | None = None,
-              event_flag: bool = True) -> EpochTrace:
+              n_triggered: int | None = None) -> EpochTrace:
     """Execute collection, recovery, and dissemination for one epoch.
 
     `participants` are the sensors awake for the collection phase;
@@ -238,26 +209,20 @@ def run_epoch(schedule: EpochSchedule, participants: set[int],
     slots = cfg.slots
     if actuators_on is None:
         actuators_on = set(cfg.actuator_ids())
-    radio = np.zeros(cfg.n_nodes)
     awake = np.zeros(cfg.n_nodes, dtype=bool)
+    awake[[*participants, *actuators_on]] = True
     awake[0] = controller_on
-    for sid in participants:
-        awake[sid] = True
-    for aid in actuators_on:
-        awake[aid] = True
 
     # everyone sat through sync (and, in the event-triggered variant, EV)
-    radio += slots[S].t_on_ms
-    if cfg.variant == WCB_E:
-        radio += cfg.n_event_slots * slots[EV].t_on_ms
+    radio = np.full(cfg.n_nodes, cfg.listen_on_ms)
 
     # collection: one dedicated flood per participating sensor
-    received: dict[int, object] = {}
+    received: set[int] = set()
     for sid in cfg.sensor_ids():
         if sid in participants:
             got = flood_outcome(slots[T].pdr, 1, rng)[0]
             if got and controller_on:
-                received[sid] = readings[sid]
+                received.add(sid)
     radio[awake] += cfg.n_sensors * slots[T].t_on_ms
 
     # cumulative acknowledgment; per-node Bernoulli reception of the bitmap
@@ -268,7 +233,7 @@ def run_epoch(schedule: EpochSchedule, participants: set[int],
                   if not (ack_rx[sid - 1] and sid in received)]
 
     # recovery: contenders compete in shared T slots until acknowledged;
-    # the controller keeps listening while any of the K readings is missing
+    # the controller keeps listening while any of the K sensors is unheard
     rounds_used = 0
     for _ in range(cfg.max_recovery_pairs):
         controller_needs = controller_on and len(received) < cfg.n_sensors
@@ -283,7 +248,7 @@ def run_epoch(schedule: EpochSchedule, participants: set[int],
         if contenders and controller_on:
             if flood_outcome(slots[T].pdr, 1, rng)[0]:
                 winner = contenders[int(rng.integers(len(contenders)))]
-                received.setdefault(winner, readings[winner])
+                received.add(winner)
         if controller_on:
             ack_rx = flood_outcome(slots[A].pdr, cfg.n_sensors, rng)
             contenders = [sid for sid in contenders
@@ -295,19 +260,18 @@ def run_epoch(schedule: EpochSchedule, participants: set[int],
     # dissemination: C repeated command floods; actuators log the first hit
     act_latency = np.full(cfg.n_actuators, np.nan)
     if controller_on:
-        ctrl_slots = schedule.of_kind(CTRL)
-        for slot in ctrl_slots:
+        for end_ms in cfg.ctrl_ends_ms:
             got = flood_outcome(slots[CTRL].pdr, cfg.n_actuators, rng)
             for a, aid in enumerate(cfg.actuator_ids()):
                 if got[a] and aid in actuators_on and math.isnan(act_latency[a]):
-                    act_latency[a] = slot.end_ms
+                    act_latency[a] = end_ms
         radio[awake] += cfg.n_ctrl_slots * slots[CTRL].t_on_ms
 
     return EpochTrace(
-        epoch=epoch, variant=cfg.variant, event_flag=event_flag,
+        epoch=epoch, event_flag=True,
         n_triggered=len(participants) if n_triggered is None else n_triggered,
         participants=tuple(sorted(participants)), controller_on=controller_on,
-        received=received, recovery_rounds_used=rounds_used,
+        received=tuple(sorted(received)), recovery_rounds_used=rounds_used,
         unresolved=unresolved, act_latency_ms=act_latency, radio_on_ms=radio)
 
 

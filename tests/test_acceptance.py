@@ -15,7 +15,7 @@ from wcbsim.harness import run_experiment, scenario_preset
 from wcbsim.plant import PlantStepper
 from wcbsim.pools import DEFAULT_POOLS
 from wcbsim.profiles import EPOCH_SWEEP_EVENTS, HALL, make_epoch_config
-from wcbsim.protocol import CTRL, EV, T, WCB_E, WCB_P, analytic_ton, build_schedule
+from wcbsim.protocol import EV, T, WCB_E, WCB_P, analytic_ton
 from wcbsim.rng import stream_rng
 
 REF = {
@@ -118,13 +118,11 @@ def test_criterion_5_sampling_reduction():
 def test_criterion_6_reliability():
     for tb in ("hall", "dept"):
         cfg = make_epoch_config(tb, variant=WCB_E)
-        sched = build_schedule(cfg)
-        readings = {sid: (0.0,) for sid in cfg.sensor_ids()}
         unresolved = missed = 0
         for run in range(16):
             for epoch in range(1440):
                 tr = protocol.run_epoch(
-                    sched, set(cfg.sensor_ids()), readings, cfg,
+                    set(cfg.sensor_ids()), cfg,
                     stream_rng(4000 + run, "network", epoch), epoch=epoch)
                 unresolved += len(tr.unresolved)
                 missed += int(np.isnan(tr.act_latency_ms).sum())
@@ -141,8 +139,8 @@ def test_criterion_7_latency_structure():
     for tb in ("hall", "dept"):
         cfg_e = make_epoch_config(tb, variant=WCB_E)
         cfg_p = make_epoch_config(tb, variant=WCB_P)
-        s_e = build_schedule(cfg_e).of_kind(CTRL)[0].end_ms
-        s_p = build_schedule(cfg_p).of_kind(CTRL)[0].end_ms
+        s_e = cfg_e.ctrl_ends_ms[0]
+        s_p = cfg_p.ctrl_ends_ms[0]
         expected = cfg_e.n_event_slots * (cfg_e.slots[EV].duration_ms + 2.0)
         assert s_e - s_p == pytest.approx(expected, abs=1e-12)
 

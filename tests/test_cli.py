@@ -130,7 +130,12 @@ def test_malformed_scenario_exits_2_without_output(tmp_path, capsys):
                                       "trigger.scale=1,nan,1",
                                       "run.seed=-1",
                                       "--seeds=-2",
-                                      "--seeds=1..x"])
+                                      "--seeds=1..x",
+                                      "run.duration_epochs=1000000000",
+                                      *(f"network.{key}={count}"
+                                        for key in ("n_event_slots", "max_recovery_pairs",
+                                                    "n_ctrl_slots")
+                                        for count in ("100000000", "9" * 400))])
 def test_out_of_range_override_exits_2_without_output(tmp_path, capsys, override):
     out = tmp_path / "out"
     argv = ["run", "--scenario", "dept_etc_noiseless", "--out", str(out)] + SMALL

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +85,13 @@ def test_noise_streams_align_across_variants():
     # which variant runs, so comparisons isolate protocol effects
     etc = run_experiment(short("dept_etc_noisy", seed=9, duration_epochs=60))
     per = run_experiment(short("dept_periodic_noisy", seed=9, duration_epochs=60))
-    assert etc.traces[0].received[1] == per.traces[0].received[1]
+    # both collect every sample in the bootstrap epoch, so each gate's first
+    # command is the same function of the same noisy samples
+    assert etc.traces[0].received == per.traces[0].received == tuple(range(1, 11))
+    for gate in range(N_POOLS):
+        (_, first_e), *_ = etc.switch_log.window(gate, -1, 10**6)[1]
+        (_, first_p), *_ = per.switch_log.window(gate, -1, 10**6)[1]
+        assert first_e == first_p
 
 
 def test_scenario_validation_errors():
@@ -118,6 +125,28 @@ def test_scenario_validation_errors():
     Scenario(force_trigger=True, n_event_slots=0).validate()
     with pytest.raises(ScenarioError):
         scenario_preset("dept_etc_quiet")
+
+
+def test_oversized_slot_plan_is_refused_in_constant_memory():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError):
+            Scenario(n_event_slots=300000).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_runs_too_large_to_record_are_refused():
+    # only validated: none of these runs is started
+    for bad in (dict(duration_epochs=10**9), dict(duration_epochs=10**9, traj_every=10**9),
+                dict(duration_epochs=int("9" * 400)), dict(t_epoch_s=1e306),
+                dict(duration_epochs=4 * 86400, t_epoch_s=1.0, dt_min=0.000333333333333)):
+        with pytest.raises(ScenarioError, match="a run may record"):
+            Scenario(**bad).validate()
+    # a 1 s-epoch day at full resolution: 86 400 epochs, 4.32 M trajectory rows
+    Scenario(duration_epochs=86400, t_epoch_s=1.0, dt_min=0.000333333333333).validate()
 
 
 def test_summary_row_columns():

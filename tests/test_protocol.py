@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,14 +8,34 @@ import pytest
 from wcbsim.profiles import DEPT, HALL, make_epoch_config
 from wcbsim.protocol import (A, CTRL, EV, S, T, WCB_E, WCB_P, ConfigError,
                              EpochConfig, SlotConfig, analytic_ton,
-                             build_schedule, collection_success_prob,
-                             event_phase, flood_outcome, quiet_trace,
-                             run_epoch)
+                             collection_success_prob, event_phase,
+                             flood_outcome, quiet_trace, run_epoch)
 from wcbsim.rng import stream_rng
 
 
+@dataclass(frozen=True)
+class Slot:
+    kind: str
+    start_ms: float
+    end_ms: float
+
+
+def enumerated_plan(cfg):
+    """Reference slot plan, one slot at a time: S, E x EV (event-triggered
+    only), K x T, A, R x (T, A), C x CTRL. Returns (slots, active end)."""
+    slots, cursor = [], cfg.preamble_ms
+    kinds = [S] + [EV] * (cfg.n_event_slots if cfg.variant == WCB_E else 0) \
+        + [T] * cfg.n_sensors + [A] + [T, A] * cfg.max_recovery_pairs \
+        + [CTRL] * cfg.n_ctrl_slots
+    for kind in kinds:
+        w = cfg.slots[kind].duration_ms
+        slots.append(Slot(kind, cursor, cursor + w))
+        cursor += w + cfg.gap_ms
+    return slots, slots[-1].end_ms + cfg.gap_ms
+
+
 def lossless_config(variant=WCB_E, **kw):
-    slots = {k: SlotConfig(n_tx=s.n_tx, duration_ms=s.duration_ms, pdr=1.0,
+    slots = {k: SlotConfig(duration_ms=s.duration_ms, pdr=1.0,
                            t_on_ms=s.t_on_ms) for k, s in HALL.slots.items()}
     cfg = make_epoch_config(HALL, variant=variant, **kw)
     return EpochConfig(**{**cfg.__dict__, "slots": slots,
@@ -42,28 +64,39 @@ class ScriptedRng:
 def test_minimal_schedule_slot_count():
     cfg = make_epoch_config(HALL, variant=WCB_E, n_sensors=1, n_event_slots=1,
                             max_recovery_pairs=0, n_ctrl_slots=1)
-    sched = build_schedule(cfg)
-    assert [s.kind for s in sched.slots] == [S, EV, T, A, CTRL]
+    slots, _ = enumerated_plan(cfg)
+    assert [s.kind for s in slots] == [S, EV, T, A, CTRL]
 
 
 @pytest.mark.parametrize("profile,delta", [(HALL, 12.0), (DEPT, 16.0)])
 def test_event_slots_shift_dissemination(profile, delta):
-    e = build_schedule(make_epoch_config(profile, variant=WCB_E))
-    p = build_schedule(make_epoch_config(profile, variant=WCB_P))
-    first_ctrl_e = e.of_kind(CTRL)[0].end_ms
-    first_ctrl_p = p.of_kind(CTRL)[0].end_ms
+    first_ctrl_e = make_epoch_config(profile, variant=WCB_E).ctrl_ends_ms[0]
+    first_ctrl_p = make_epoch_config(profile, variant=WCB_P).ctrl_ends_ms[0]
     assert first_ctrl_e - first_ctrl_p == pytest.approx(delta, abs=1e-9)
 
 
 def test_schedule_monotone_and_recovery_reserved():
-    sched = build_schedule(make_epoch_config(HALL, variant=WCB_P))
+    slots, _ = enumerated_plan(make_epoch_config(HALL, variant=WCB_P))
     ends = 0.0
-    for slot in sched.slots:
+    for slot in slots:
         assert slot.start_ms >= ends
         ends = slot.end_ms
     # 10 dedicated + 3 reserved recovery T slots
-    assert len(sched.of_kind(T)) == 13
-    assert len(sched.of_kind(A)) == 4
+    assert [s.kind for s in slots].count(T) == 13
+    assert [s.kind for s in slots].count(A) == 4
+
+
+def test_closed_form_plan_equals_the_enumerated_one():
+    # exact equality: actuation latencies are these floats bit for bit
+    for profile, variant, e, r, c in itertools.product(
+            (HALL, DEPT), (WCB_E, WCB_P), range(6), range(6), range(1, 6)):
+        if variant == WCB_E and e == 0:
+            continue
+        cfg = make_epoch_config(profile, variant=variant, n_event_slots=e,
+                                max_recovery_pairs=r, n_ctrl_slots=c)
+        slots, active_end = enumerated_plan(cfg)
+        assert cfg.ctrl_ends_ms == tuple(s.end_ms for s in slots if s.kind == CTRL)
+        assert cfg.active_end_ms == active_end
 
 
 def test_reference_latencies_from_schedule():
@@ -71,13 +104,17 @@ def test_reference_latencies_from_schedule():
     for profile, variant, expected in [
             (HALL, WCB_E, 192.023), (HALL, WCB_P, 180.023),
             (DEPT, WCB_E, 253.017), (DEPT, WCB_P, 237.017)]:
-        sched = build_schedule(make_epoch_config(profile, variant=variant))
-        assert sched.of_kind(CTRL)[0].end_ms == pytest.approx(expected, abs=1e-9)
+        cfg = make_epoch_config(profile, variant=variant)
+        assert cfg.ctrl_ends_ms[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_active_portion_must_fit():
     with pytest.raises(ConfigError):
-        build_schedule(make_epoch_config(HALL, variant=WCB_P, t_epoch_s=0.15))
+        make_epoch_config(HALL, variant=WCB_P, t_epoch_s=0.15).validate()
+    make_epoch_config(HALL, variant=WCB_P, t_epoch_s=0.25).validate()
+    # a count too large for a float is refused, not overflowed
+    with pytest.raises(ConfigError):
+        make_epoch_config(HALL, n_ctrl_slots=int("9" * 400)).validate()
 
 
 # ------------------------------------------------------------- floods
@@ -135,14 +172,10 @@ def test_event_phase_senders_always_self_detect():
 
 def test_lossless_epoch_accounting():
     cfg = lossless_config()
-    sched = build_schedule(cfg)
-    readings = {sid: (float(sid),) for sid in cfg.sensor_ids()}
-    tr = run_epoch(sched, set(cfg.sensor_ids()), readings, cfg,
-                   stream_rng(0, "network", 0))
+    tr = run_epoch(set(cfg.sensor_ids()), cfg, stream_rng(0, "network", 0))
     assert tr.recovery_rounds_used == 0
     assert tr.unresolved == ()
-    first_ctrl = sched.of_kind(CTRL)[0].end_ms
-    assert np.all(tr.act_latency_ms == first_ctrl)
+    assert np.all(tr.act_latency_ms == cfg.ctrl_ends_ms[0])
     slots = cfg.slots
     expected = (slots[S].t_on_ms + 2 * slots[EV].t_on_ms
                 + 10 * slots[T].t_on_ms + slots[A].t_on_ms
@@ -155,27 +188,23 @@ def test_quiet_epoch_radio_formula():
     tr = quiet_trace(7, cfg)
     expected = cfg.slots[S].t_on_ms + 2 * cfg.slots[EV].t_on_ms
     assert np.allclose(tr.radio_on_ms, expected)
-    assert tr.radio_on_ms.max() <= build_schedule(cfg).active_end_ms
+    assert tr.radio_on_ms.max() <= cfg.active_end_ms
 
 
 def scripted_loss_config():
     # lossy T slots so reception draws are actually consumed; perfect A/CTRL
     base = lossless_config()
     slots = dict(base.slots)
-    slots[T] = SlotConfig(n_tx=2, duration_ms=6.0, pdr=0.9,
-                          t_on_ms=slots[T].t_on_ms)
+    slots[T] = SlotConfig(duration_ms=6.0, pdr=0.9, t_on_ms=slots[T].t_on_ms)
     return EpochConfig(**{**base.__dict__, "slots": slots})
 
 
 def test_scripted_single_loss_recovers_in_one_round():
     cfg = scripted_loss_config()
-    sched = build_schedule(cfg)
-    readings = {sid: (float(sid),) for sid in cfg.sensor_ids()}
     # collection draws: sensor 4's flood lost (draw above pdr); the single
     # recovery contention succeeds with the T-slot probability
     uniforms = [0.0] * 3 + [0.95] + [0.0] * 6 + [0.0]
-    tr = run_epoch(sched, set(cfg.sensor_ids()), readings, cfg,
-                   ScriptedRng(uniforms))
+    tr = run_epoch(set(cfg.sensor_ids()), cfg, ScriptedRng(uniforms))
     assert tr.recovery_rounds_used == 1
     assert tr.unresolved == ()
     assert 4 in tr.received
@@ -187,23 +216,18 @@ def test_scripted_single_loss_recovers_in_one_round():
 
 def test_recovery_exhausts_after_r_rounds():
     cfg = scripted_loss_config()
-    sched = build_schedule(cfg)
-    readings = {sid: (float(sid),) for sid in cfg.sensor_ids()}
     # sensor 1's flood lost; every recovery contention also lost
     uniforms = [0.95] + [0.0] * 9 + [0.95, 0.95, 0.95]
-    tr = run_epoch(sched, set(cfg.sensor_ids()), readings, cfg,
-                   ScriptedRng(uniforms))
+    tr = run_epoch(set(cfg.sensor_ids()), cfg, ScriptedRng(uniforms))
     assert tr.recovery_rounds_used == cfg.max_recovery_pairs
     assert tr.unresolved == (1,)
 
 
 def test_sleeping_controller_collects_nothing():
     cfg = lossless_config()
-    sched = build_schedule(cfg)
-    readings = {sid: (float(sid),) for sid in cfg.sensor_ids()}
-    tr = run_epoch(sched, set(cfg.sensor_ids()), readings, cfg,
-                   stream_rng(0, "network", 0), controller_on=False)
-    assert tr.received == {}
+    tr = run_epoch(set(cfg.sensor_ids()), cfg, stream_rng(0, "network", 0),
+                   controller_on=False)
+    assert tr.received == ()
     assert tr.unresolved == tuple(cfg.sensor_ids())
     assert np.all(np.isnan(tr.act_latency_ms))
     assert tr.recovery_rounds_used == cfg.max_recovery_pairs
@@ -211,12 +235,9 @@ def test_sleeping_controller_collects_nothing():
 
 def test_epoch_determinism():
     cfg = make_epoch_config(HALL, variant=WCB_E)
-    sched = build_schedule(cfg)
-    readings = {sid: (float(sid),) for sid in cfg.sensor_ids()}
 
     def once():
-        return run_epoch(sched, set(cfg.sensor_ids()), readings, cfg,
-                         stream_rng(99, "network", 5), epoch=5)
+        return run_epoch(set(cfg.sensor_ids()), cfg, stream_rng(99, "network", 5), epoch=5)
 
     a, b = once(), once()
     assert a.received == b.received
@@ -233,14 +254,10 @@ def test_recovery_monotone_in_delivery_rate():
     def rounds(pdr_t, seed):
         base = make_epoch_config(HALL, variant=WCB_P)
         slots = dict(base.slots)
-        slots[T] = SlotConfig(n_tx=2, duration_ms=6.0, pdr=pdr_t,
-                              t_on_ms=slots[T].t_on_ms)
+        slots[T] = SlotConfig(duration_ms=6.0, pdr=pdr_t, t_on_ms=slots[T].t_on_ms)
         cfg = EpochConfig(**{**base.__dict__, "slots": slots})
-        sched = build_schedule(cfg)
-        readings = {sid: (0.0,) for sid in cfg.sensor_ids()}
         return np.array([
-            run_epoch(sched, set(cfg.sensor_ids()), readings, cfg,
-                      stream_rng(seed, "network", epoch),
+            run_epoch(set(cfg.sensor_ids()), cfg, stream_rng(seed, "network", epoch),
                       epoch=epoch).recovery_rounds_used
             for epoch in range(n_epochs)])
 
@@ -254,17 +271,15 @@ def test_recovery_monotone_in_delivery_rate():
 def test_recovery_rounds_never_exceed_r():
     cfg = make_epoch_config(HALL, variant=WCB_P)
     slots = dict(cfg.slots)
-    slots[T] = SlotConfig(n_tx=2, duration_ms=6.0, pdr=0.5, t_on_ms=slots[T].t_on_ms)
+    slots[T] = SlotConfig(duration_ms=6.0, pdr=0.5, t_on_ms=slots[T].t_on_ms)
     lossy = EpochConfig(**{**cfg.__dict__, "slots": slots})
-    sched = build_schedule(lossy)
-    readings = {sid: (0.0,) for sid in lossy.sensor_ids()}
     for epoch in range(300):
-        tr = run_epoch(sched, set(lossy.sensor_ids()), readings, lossy,
-                       stream_rng(5, "network", epoch), epoch=epoch)
+        tr = run_epoch(set(lossy.sensor_ids()), lossy, stream_rng(5, "network", epoch),
+                       epoch=epoch)
         assert tr.recovery_rounds_used <= lossy.max_recovery_pairs
         if tr.unresolved:
             assert tr.recovery_rounds_used == lossy.max_recovery_pairs
-        assert tr.radio_on_ms.max() <= build_schedule(lossy).active_end_ms
+        assert tr.radio_on_ms.max() <= lossy.active_end_ms
 
 
 # ------------------------------------------------------------- analytics
