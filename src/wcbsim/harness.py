@@ -218,7 +218,6 @@ class RunReport:
     sample_count: int
     dc_pct: float
     mean_latency_ms: float
-    max_latency_ms: float
 
     @property
     def iae_sum(self) -> float:
@@ -427,7 +426,6 @@ def run_experiment(scenario: Scenario) -> RunReport:
         traces=traces, iae_per_pool=iae_per_pool,
         sample_count=sample_count, dc_pct=dc_pct,
         mean_latency_ms=float(np.mean(latencies)) if latencies else math.nan,
-        max_latency_ms=float(np.max(latencies)) if latencies else math.nan,
     )
 
 

@@ -14,7 +14,10 @@ Integration is classical fixed-step RK4. Because the dynamics are LTI and
 all inputs are zero-order held on the step grid, one RK4 step is an affine
 map; `PlantStepper` exploits this to advance whole constant-input segments
 with cached matrix powers while producing the same trajectory as repeated
-single steps (up to float round-off). Transport delays are not plant
+single steps (up to float round-off). The per-step levels come from one
+pool-local prefix table: a pool's level reads only its own y, ydot, yddot
+and three inputs, and row j-1 of the table gives it after j steps, so
+segments of every length share the table. Transport delays are not plant
 states: the caller supplies each gate's flow from tau_i earlier as an
 input, so dt must divide every delay (`check_dt`). The tests keep a
 step-by-step reference integrator with per-gate delay ring buffers.
@@ -34,6 +37,13 @@ N_STATES = N_POOLS * STATES_PER_POOL
 N_INPUTS = 3 * N_POOLS       # delayed gate flows, applied gate flows, disturbances
 
 X2_GAIN_NUMERATOR = {"pade": 4.0, "lag": 2.0}
+
+# pool i's level reads its own y, ydot, yddot and three inputs: its delayed
+# inflow, the downstream gate's applied flow and its off-take (pool 5 has no
+# downstream gate, so that slot reads its off-take again with a zero weight)
+_LEVEL_STATES = STATES_PER_POOL * np.arange(N_POOLS)[:, None] + np.arange(3)
+_LEVEL_INPUTS = np.array([[i, N_POOLS + i + 1 if i + 1 < N_POOLS else 2 * N_POOLS + i,
+                           2 * N_POOLS + i] for i in range(N_POOLS)])
 
 
 class NonFiniteState(RuntimeError):
@@ -119,9 +129,11 @@ class PlantStepper:
     """Segment integrator equivalent to repeated single RK4 steps.
 
     For a segment of n steps with constant inputs v the state advances as
-    x <- Phi^n x + S_n Gam v with S_n = I + Phi + ... + Phi^(n-1); the
-    per-step level outputs needed for error integrals come from stacked
-    output maps. Maps are cached per segment length.
+    x <- Phi^n x + S_n Gam v with S_n = I + Phi + ... + Phi^(n-1), from maps
+    cached per segment length. The per-step levels needed for error
+    integrals come from one pool-local prefix table: pool i's level after j
+    steps is row j-1 of K[i] applied to its own (y, ydot, yddot) and three
+    inputs, so a segment of n steps reads K[:, :n] whatever its length.
     """
 
     def __init__(self, pools: tuple[PoolParams, ...], dt: float,
@@ -132,10 +144,18 @@ class PlantStepper:
         A, B = plant_matrices(pools, x2_realization)
         self.Phi, self.Gam = rk4_affine_maps(A, B, dt)
         self._seg_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._traj_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._C = np.zeros((N_POOLS, N_STATES))
-        for i in range(N_POOLS):
-            self._C[i, STATES_PER_POOL * i] = 1.0
+        # y does not read x2 or x3 and Phi is block-diagonal by pool, so each
+        # pool's level follows its own 3x3 block of Phi and three inputs
+        rows = _LEVEL_STATES[:, :, None]
+        self._Phi_m = self.Phi[rows, _LEVEL_STATES[:, None, :]]
+        self._Gam_y = self.Gam[rows, _LEVEL_INPUTS[:, None, :]]
+        self._Gam_y[-1, :, 1] = 0.0              # pool 5 has no downstream gate
+        # level table: row j-1 of K[i] is [e1 Phi^j, S_j Gam] for pool i, with
+        # S_j = e1 (I + Phi + ... + Phi^(j-1)); it starts at m = 1 row, and
+        # _Phi_m holds Phi^m
+        self._K = np.concatenate((self._Phi_m[:, :1], self._Gam_y[:, :1]), axis=2)
+        self._S = np.zeros((N_POOLS, 1, 3))
+        self._S[:, 0, 0] = 1.0
 
     def _segment_maps(self, n: int):
         if n not in self._seg_cache:
@@ -148,28 +168,26 @@ class PlantStepper:
             self._seg_cache[n] = (Phi_n, S @ self.Gam)
         return self._seg_cache[n]
 
-    def _trajectory_maps(self, n: int):
-        # stacked level outputs after 1..n steps
-        if n not in self._traj_cache:
-            W = np.empty((n, N_POOLS, N_STATES))
-            U = np.empty((n, N_POOLS, N_INPUTS))
-            P = self.Phi.copy()
-            S = self.Gam.copy()
-            for j in range(n):
-                W[j] = self._C @ P
-                U[j] = self._C @ S
-                P = self.Phi @ P
-                S = self.Phi @ S + self.Gam
-            self._traj_cache[n] = (W.reshape(n * N_POOLS, N_STATES),
-                                   U.reshape(n * N_POOLS, N_INPUTS))
-        return self._traj_cache[n]
+    def _grow_level_table(self, n: int) -> None:
+        # append rows m+1..2m until n fit: e1 Phi^(m+k) = (e1 Phi^k) Phi^m and
+        # S_(m+k) = S_m + S_k Phi^m. Doubling computes every row the same way
+        # whatever length was asked for first.
+        while self._K.shape[1] < n:
+            R = self._K[:, :, :3] @ self._Phi_m
+            S = self._S[:, -1:] + self._S @ self._Phi_m
+            self._K = np.concatenate(
+                (self._K, np.concatenate((R, S @ self._Gam_y), axis=2)), axis=1)
+            self._S = np.concatenate((self._S, S), axis=1)
+            self._Phi_m = self._Phi_m @ self._Phi_m
 
     def advance(self, x: np.ndarray, v: np.ndarray, n: int):
         """Advance n steps under constant inputs; returns (x_end, levels (n,5))."""
-        W, U = self._trajectory_maps(n)
-        levels = (W @ x + U @ v).reshape(n, N_POOLS)
+        if self._K.shape[1] < n:
+            self._grow_level_table(n)
+        q = np.concatenate((x[_LEVEL_STATES], v[_LEVEL_INPUTS]), axis=1)
+        levels = np.matmul(self._K[:, :n], q[:, :, None])[:, :, 0].T
         Phi_n, G = self._segment_maps(n)
         x_end = Phi_n @ x + G @ v
-        if not (np.isfinite(x_end).all() and abs(x_end).max() < 1e9):
+        if not abs(x_end).max() < 1e9:           # also False for NaN and inf
             raise NonFiniteState("plant state diverged during segment advance")
         return x_end, levels

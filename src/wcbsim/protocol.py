@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,13 +106,13 @@ class EpochConfig:
         return self.preamble_ms + sum(n * (self.slots[kind].duration_ms + self.gap_ms)
                                       for kind, n in self._plan())
 
-    @property
+    @cached_property
     def ctrl_ends_ms(self) -> tuple[float, ...]:
         """End of each CTRL slot, measured from the epoch start."""
         start, w = self._ctrl_start_ms, self.slots[CTRL].duration_ms
         return tuple(start + j * (w + self.gap_ms) + w for j in range(self.n_ctrl_slots))
 
-    @property
+    @cached_property
     def listen_on_ms(self) -> float:
         """Per-node radio-on of every epoch: sync, and EV if event-triggered."""
         ev = self.n_event_slots * self.slots[EV].t_on_ms if self.variant == WCB_E else 0.0

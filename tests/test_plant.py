@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from wcbsim.plant import (N_STATES, STATES_PER_POOL, DisturbanceSchedule,
+from wcbsim.plant import (N_INPUTS, N_STATES, STATES_PER_POOL, DisturbanceSchedule,
                           NonFiniteState, PlantStepper, check_dt, plant_matrices,
                           rk4_affine_maps)
 from wcbsim.pools import DEFAULT_POOLS, N_POOLS, PoolParams
@@ -196,17 +196,44 @@ def test_x3_exact_on_constant_deviation():
 
 def test_stepper_matches_single_steps():
     dt = 0.05
-    s = WisPlantState.initial(POOLS, dt=dt, y0=0.02)
+    u0 = 6.0  # every delay buffer still holds u0 for these steps
+    s = WisPlantState.initial(POOLS, dt=dt, y0=0.02, u0=u0)
     u = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    d = np.array([0, 0, 0, 0, 2.0])
-    n = 35  # stay inside the shortest delay so the buffers still read 0
-    looped = advance(s, u, d, n).as_vector()
+    d = np.array([1.0, 0, 0.5, 0, 2.0])
+    n = 35  # stay inside the shortest delay
+    looped_y = np.empty((n, N_POOLS))
+    for k in range(n):
+        s = wis_step(s, u, d)
+        looped_y[k] = s.y
+    looped = s.as_vector()
 
     stepper = PlantStepper(POOLS, dt)
     x0 = WisPlantState.initial(POOLS, dt=dt, y0=0.02).as_vector()
-    v = np.concatenate([np.zeros(5), u, d])  # buffers hold 0 for these 50 steps
-    fast, _ = stepper.advance(x0, v, n)
+    v = np.concatenate([np.full(5, u0), u, d])
+    fast, levels = stepper.advance(x0, v, n)
     assert np.allclose(looped, fast, rtol=1e-11, atol=1e-14)
+    assert levels.shape == (n, N_POOLS)
+    assert np.allclose(looped_y, levels, rtol=1e-11, atol=1e-14)
+
+
+def test_level_table_prefix():
+    # the level table only ever appends rows, so a segment's levels do not
+    # depend on the lengths the stepper advanced before
+    rng = np.random.default_rng(3)
+    x = rng.normal(0.0, 0.05, N_STATES)
+    v = rng.uniform(0.0, 20.0, N_INPUTS)
+    dt, N = 0.001, 1000
+
+    def levels(stepper, n):
+        return stepper.advance(x, v, n)[1]
+
+    grown_first = PlantStepper(POOLS, dt)
+    long = levels(grown_first, N)
+    for n in (1, 2, 35, 64, 65, 999):
+        fresh = PlantStepper(POOLS, dt)
+        short = levels(fresh, n)
+        assert np.array_equal(levels(grown_first, n), short)
+        assert np.array_equal(levels(fresh, N), long)
 
 
 def test_delay_buffer_length_and_prefill():
@@ -227,6 +254,15 @@ def test_non_finite_state_raises():
     s = WisPlantState.initial(POOLS, dt=0.05)
     with pytest.raises(NonFiniteState):
         wis_step(s, np.full(5, np.inf), np.zeros(5))
+
+
+def test_stepper_raises_on_non_finite_state():
+    stepper = PlantStepper(POOLS, dt=0.05)
+    for where, value in (("x", np.nan), ("v", np.inf), ("x", 1e10)):
+        x, v = np.zeros(N_STATES), np.zeros(N_INPUTS)
+        {"x": x, "v": v}[where][0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteState):
+            stepper.advance(x, v, 10)
 
 
 def test_disturbance_schedule_reference_points():

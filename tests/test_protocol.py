@@ -1,13 +1,13 @@
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from wcbsim.profiles import DEPT, HALL, make_epoch_config
 from wcbsim.protocol import (A, CTRL, EV, S, T, WCB_E, WCB_P, ConfigError,
-                             EpochConfig, SlotConfig, analytic_ton,
+                             SlotConfig, analytic_ton,
                              collection_success_prob, event_phase,
                              flood_outcome, quiet_trace, run_epoch)
 from wcbsim.rng import stream_rng
@@ -38,8 +38,8 @@ def lossless_config(variant=WCB_E, **kw):
     slots = {k: SlotConfig(duration_ms=s.duration_ms, pdr=1.0,
                            t_on_ms=s.t_on_ms) for k, s in HALL.slots.items()}
     cfg = make_epoch_config(HALL, variant=variant, **kw)
-    return EpochConfig(**{**cfg.__dict__, "slots": slots,
-                          "sdr_table": {1: {1: 1.0, 10: 1.0}, 2: {1: 1.0, 10: 1.0}}})
+    return replace(cfg, slots=slots,
+                   sdr_table={1: {1: 1.0, 10: 1.0}, 2: {1: 1.0, 10: 1.0}})
 
 
 class ScriptedRng:
@@ -161,8 +161,7 @@ def test_sdr_table_reference_points():
 
 def test_event_phase_senders_always_self_detect():
     cfg = make_epoch_config(HALL, variant=WCB_E)
-    low_sdr = EpochConfig(**{**cfg.__dict__,
-                             "sdr_table": {2: {1: 0.0, 10: 0.0}}})
+    low_sdr = replace(cfg, sdr_table={2: {1: 0.0, 10: 0.0}})
     detected = event_phase({1, 7}, low_sdr, stream_rng(0, "event", 0))
     assert detected[1] and detected[7]
     assert not detected[0]
@@ -196,7 +195,7 @@ def scripted_loss_config():
     base = lossless_config()
     slots = dict(base.slots)
     slots[T] = SlotConfig(duration_ms=6.0, pdr=0.9, t_on_ms=slots[T].t_on_ms)
-    return EpochConfig(**{**base.__dict__, "slots": slots})
+    return replace(base, slots=slots)
 
 
 def test_scripted_single_loss_recovers_in_one_round():
@@ -255,7 +254,7 @@ def test_recovery_monotone_in_delivery_rate():
         base = make_epoch_config(HALL, variant=WCB_P)
         slots = dict(base.slots)
         slots[T] = SlotConfig(duration_ms=6.0, pdr=pdr_t, t_on_ms=slots[T].t_on_ms)
-        cfg = EpochConfig(**{**base.__dict__, "slots": slots})
+        cfg = replace(base, slots=slots)
         return np.array([
             run_epoch(set(cfg.sensor_ids()), cfg, stream_rng(seed, "network", epoch),
                       epoch=epoch).recovery_rounds_used
@@ -272,7 +271,7 @@ def test_recovery_rounds_never_exceed_r():
     cfg = make_epoch_config(HALL, variant=WCB_P)
     slots = dict(cfg.slots)
     slots[T] = SlotConfig(duration_ms=6.0, pdr=0.5, t_on_ms=slots[T].t_on_ms)
-    lossy = EpochConfig(**{**cfg.__dict__, "slots": slots})
+    lossy = replace(cfg, slots=slots)
     for epoch in range(300):
         tr = run_epoch(set(lossy.sensor_ids()), lossy, stream_rng(5, "network", epoch),
                        epoch=epoch)
