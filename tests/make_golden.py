@@ -40,17 +40,23 @@ def _column_stats(table: np.ndarray) -> dict:
             "max": table.max(axis=0).tolist()}
 
 
+def epoch_seq_sha256(report) -> str:
+    """SHA-256 of the per-epoch integer sequence: event flag, trigger count,
+    participants, recovery rounds and unresolved readings."""
+    seq = [[int(tr.event_flag), tr.n_triggered, list(tr.participants),
+            tr.recovery_rounds_used, list(tr.unresolved)] for tr in report.traces]
+    return hashlib.sha256(json.dumps(seq).encode()).hexdigest()
+
+
 def observe(name: str, seed: int) -> dict:
     report = run_experiment(scenario_preset(
         name, seed=seed, duration_epochs=EPOCHS, traj_every=TRAJ_EVERY))
-    seq = [[int(tr.event_flag), tr.n_triggered, list(tr.participants),
-            tr.recovery_rounds_used, list(tr.unresolved)] for tr in report.traces]
     buf = io.StringIO()
     write_trajectory_csv(report, buf)
     exported = np.loadtxt(io.StringIO(buf.getvalue()), delimiter=",", skiprows=1)
     row = report.summary_row()
     return {
-        "epoch_seq_sha256": hashlib.sha256(json.dumps(seq).encode()).hexdigest(),
+        "epoch_seq_sha256": epoch_seq_sha256(report),
         "sample_count": report.sample_count,
         "summary": {k: float(row[k]) for k in SUMMARY_FLOATS},
         "levels": _column_stats(report.levels),
