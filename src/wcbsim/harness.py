@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import io
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,13 +64,30 @@ class SwitchLog:
         self._steps[gate].append(step)
         self._flows[gate].append(float(flow))
 
-    def window(self, gate: int, lo: int, n: int) -> tuple[float, list[tuple[int, float]]]:
-        """The gate's flow at step lo, and its switches in (lo, lo + n] as
-        (steps after lo, flow) pairs in the order they were logged."""
+    def windows(self, gate: int, lo: int, n: int):
+        """Generator of the gate's windows (lo, lo + n], (lo + n, lo + 2n], ...
+
+        Each next() gives the flow at the window start and the switches in
+        the window as (steps after its start, flow) pairs in the order they
+        were logged, then moves the window forward by n. It reads the live
+        log through one forward index, so switches logged between two reads
+        are seen as long as the steps stay nondecreasing: a switch at or
+        before the window start sets the start flow, and among equal steps
+        the later log wins.
+        """
         steps, flows = self._steps[gate], self._flows[gate]
-        k = bisect_right(steps, lo)
-        end = bisect_right(steps, lo + n, k)
-        return (flows[k - 1] if k else 0.0), [(steps[m] - lo, flows[m]) for m in range(k, end)]
+        k = 0
+        while True:
+            end = len(steps)
+            while k < end and steps[k] <= lo:
+                k += 1
+            flow = flows[k - 1] if k else 0.0
+            switched = []
+            while k < end and steps[k] <= lo + n:
+                switched.append((steps[k] - lo, flows[k]))
+                k += 1
+            lo += n
+            yield flow, switched
 
     def flows_at(self, steps: np.ndarray) -> np.ndarray:
         """Flow of every gate at each of `steps`, shape (len(steps), n_gates)."""
@@ -278,6 +294,11 @@ def run_experiment(scenario: Scenario) -> RunReport:
     dist = plant.DisturbanceSchedule(list(sc.disturbances))
     lags = [int(round(p.tau / dt)) for p in pools]     # transport delays in steps
     switches = SwitchLog(N_POOLS)
+    # per input column, the gate's flow over each epoch's window of steps:
+    # delayed by the pool's lag into column i, applied into column 5 + i
+    windows = [(col, switches.windows(i, -delay, steps_per_epoch))
+               for i, lag in enumerate(lags)
+               for col, delay in ((i, lag), (N_POOLS + i, 0))]
 
     # node j measures the design states index_sets[j]; its trigger sees them
     # scaled per state kind (level, flow filter, level integral)
@@ -379,9 +400,9 @@ def run_experiment(scenario: Scenario) -> RunReport:
         # segments break wherever one of the flows switches
         v = np.zeros(plant.N_INPUTS)
         moves = []
-        for i, lag in enumerate(lags):
-            for col, lo in ((i, g0 - lag), (N_POOLS + i, g0)):
-                v[col], switched = switches.window(i, lo, steps_per_epoch)
+        for col, window in windows:
+            v[col], switched = next(window)
+            if switched:
                 moves += [(off, col, flow) for off, flow in switched]
         moves.sort(key=lambda move: move[0])     # stable: the later log wins a tie
         breaks = {0, steps_per_epoch}

@@ -118,6 +118,14 @@ class EpochConfig:
         ev = self.n_event_slots * self.slots[EV].t_on_ms if self.variant == WCB_E else 0.0
         return self.slots[S].t_on_ms + ev
 
+    @cached_property
+    def quiet_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (act_latency_ms, radio_on_ms) shared by every quiet epoch."""
+        arrays = (np.full(self.n_actuators, np.nan), np.full(self.n_nodes, self.listen_on_ms))
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
     @property
     def active_end_ms(self) -> float:
         """End of the active portion: the last CTRL slot plus one gap."""
@@ -188,12 +196,13 @@ class EpochTrace:
 
 
 def quiet_trace(epoch: int, cfg: EpochConfig) -> EpochTrace:
-    """Epoch in which nobody detected an event: sync plus EV listening only."""
+    """Epoch in which nobody detected an event: sync plus EV listening only.
+    Its arrays are the configuration's read-only `quiet_arrays`."""
+    act_latency_ms, radio_on_ms = cfg.quiet_arrays
     return EpochTrace(
         epoch=epoch, event_flag=False, n_triggered=0, participants=(), controller_on=False,
         received=(), recovery_rounds_used=0, unresolved=(),
-        act_latency_ms=np.full(cfg.n_actuators, np.nan),
-        radio_on_ms=np.full(cfg.n_nodes, cfg.listen_on_ms))
+        act_latency_ms=act_latency_ms, radio_on_ms=radio_on_ms)
 
 
 def run_epoch(participants: set[int], cfg: EpochConfig,

@@ -1,12 +1,15 @@
 import io
 import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wcbsim import plant
-from wcbsim.harness import (Scenario, ScenarioError, run_experiment,
+from wcbsim.harness import (Scenario, ScenarioError, SwitchLog, run_experiment,
                             scenario_preset, write_summary_csv,
                             write_trace_csv, write_trajectory_csv)
 from wcbsim.pools import N_POOLS
@@ -17,6 +20,16 @@ def short(name="dept_etc_noiseless", **kw):
     kw.setdefault("duration_epochs", 120)
     kw.setdefault("traj_every", 100)
     return scenario_preset(name, **kw)
+
+
+def window(log, gate, lo, n):
+    """Bisect reference for `SwitchLog.windows`: the gate's flow at step lo,
+    and its switches in (lo, lo + n] as (steps after lo, flow) pairs in the
+    order they were logged."""
+    steps, flows = log._steps[gate], log._flows[gate]
+    k = bisect_right(steps, lo)
+    end = bisect_right(steps, lo + n, k)
+    return (flows[k - 1] if k else 0.0), [(steps[m] - lo, flows[m]) for m in range(k, end)]
 
 
 # ------------------------------------------------------------- experiments
@@ -56,7 +69,7 @@ def test_hold_between_collections():
     n_steps = sc.duration_epochs * spe
     assert any(expected)
     for a in range(5):
-        flow0, switched = rep.switch_log.window(a, -1, n_steps + 1)
+        flow0, switched = window(rep.switch_log, a, -1, n_steps + 1)
         assert flow0 == 0.0
         assert {step - 1 for step, _ in switched} == expected[a]
     steps = np.arange(-1, n_steps)
@@ -65,6 +78,26 @@ def test_hold_between_collections():
     changed = np.nonzero(np.diff(flows, axis=0))
     for row, a in zip(*changed):
         assert steps[row + 1] in expected[a]
+
+
+# epoch e logs switches at steps e*n + offset, offset in 0..n, as run_experiment
+# does; an offset of n and the next epoch's offset of 0 tie on one step
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), lag=st.integers(0, 15),
+       epochs=st.lists(st.lists(st.tuples(st.integers(0, 6), st.floats(-10, 10)),
+                                max_size=3), max_size=12))
+@example(n=4, lag=3, epochs=[[(0, 1.0), (4, 2.0)], [(0, 3.0), (0, -0.0)], [], [(4, 5.0)]])
+def test_windows_match_bisect_reference(n, lag, epochs):
+    log = SwitchLog(1)
+    # a delayed column starts at a negative step, an applied one at step 0
+    readers = [(delay, log.windows(0, -delay, n)) for delay in (lag, 0)]
+    for e, logged in enumerate(epochs):
+        g0 = e * n
+        for offset, flow in sorted(logged, key=lambda entry: min(entry[0], n)):
+            log.log(0, g0 + min(offset, n), flow)
+        for delay, reader in readers:
+            # repr tells -0.0 from 0.0
+            assert repr(next(reader)) == repr(window(log, 0, g0 - delay, n))
 
 
 def test_forced_trigger_with_no_event_slots_matches_periodic():
@@ -89,8 +122,8 @@ def test_noise_streams_align_across_variants():
     # command is the same function of the same noisy samples
     assert etc.traces[0].received == per.traces[0].received == tuple(range(1, 11))
     for gate in range(N_POOLS):
-        (_, first_e), *_ = etc.switch_log.window(gate, -1, 10**6)[1]
-        (_, first_p), *_ = per.switch_log.window(gate, -1, 10**6)[1]
+        (_, first_e), *_ = window(etc.switch_log, gate, -1, 10**6)[1]
+        (_, first_p), *_ = window(per.switch_log, gate, -1, 10**6)[1]
         assert first_e == first_p
 
 

@@ -190,6 +190,17 @@ def test_quiet_epoch_radio_formula():
     assert tr.radio_on_ms.max() <= cfg.active_end_ms
 
 
+def test_quiet_traces_share_read_only_arrays():
+    cfg = lossless_config()
+    a, b = quiet_trace(1, cfg), quiet_trace(2, cfg)
+    assert np.array_equal(a.act_latency_ms, np.full(cfg.n_actuators, np.nan), equal_nan=True)
+    assert np.array_equal(a.radio_on_ms, np.full(cfg.n_nodes, cfg.listen_on_ms))
+    assert a.radio_on_ms is b.radio_on_ms and a.act_latency_ms is b.act_latency_ms
+    for arr in (a.act_latency_ms, a.radio_on_ms):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def scripted_loss_config():
     # lossy T slots so reception draws are actually consumed; perfect A/CTRL
     base = lossless_config()
