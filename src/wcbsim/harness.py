@@ -11,8 +11,12 @@ which it participated in a collection.
 Every flow change is one entry of a `SwitchLog` on the global step grid.
 The plant sees gate i's flow at step g as the applied input and its flow
 at step g - tau_i/dt as the delayed inflow, so transport delays must be
-multiples of dt but not of the epoch. The trajectory export reads the
-same log.
+multiples of dt but not of the epoch. The epoch loop reads those ten input
+columns (gate, lag) through one forward cursor each, `SwitchLog.windows`:
+the log is append-only with nondecreasing steps and each column's window
+moves by exactly one epoch of steps, so an index that only moves forward
+replaces two bisections per column and epoch. The trajectory export reads
+the same log.
 """
 
 from __future__ import annotations
@@ -65,15 +69,13 @@ class SwitchLog:
         self._flows[gate].append(float(flow))
 
     def windows(self, gate: int, lo: int, n: int):
-        """Generator of the gate's windows (lo, lo + n], (lo + n, lo + 2n], ...
+        """Generator over the gate's windows (lo, lo + n], (lo + n, lo + 2n], ...
 
-        Each next() gives the flow at the window start and the switches in
-        the window as (steps after its start, flow) pairs in the order they
-        were logged, then moves the window forward by n. It reads the live
-        log through one forward index, so switches logged between two reads
-        are seen as long as the steps stay nondecreasing: a switch at or
-        before the window start sets the start flow, and among equal steps
-        the later log wins.
+        Each next() gives the flow at the window start and the window's
+        switches as (steps after its start, flow) pairs in logged order. One
+        forward index reads the live log, so switches logged between two
+        reads count as long as the steps stay nondecreasing; among equal
+        steps the later log wins.
         """
         steps, flows = self._steps[gate], self._flows[gate]
         k = 0
@@ -292,13 +294,12 @@ def run_experiment(scenario: Scenario) -> RunReport:
 
     cfg = sc.epoch_config()
     dist = plant.DisturbanceSchedule(list(sc.disturbances))
-    lags = [int(round(p.tau / dt)) for p in pools]     # transport delays in steps
     switches = SwitchLog(N_POOLS)
     # per input column, the gate's flow over each epoch's window of steps:
-    # delayed by the pool's lag into column i, applied into column 5 + i
+    # delayed by the pool's transport lag into column i, applied into 5 + i
     windows = [(col, switches.windows(i, -delay, steps_per_epoch))
-               for i, lag in enumerate(lags)
-               for col, delay in ((i, lag), (N_POOLS + i, 0))]
+               for i, p in enumerate(pools)
+               for col, delay in ((i, int(round(p.tau / dt))), (N_POOLS + i, 0))]
 
     # node j measures the design states index_sets[j]; its trigger sees them
     # scaled per state kind (level, flow filter, level integral)

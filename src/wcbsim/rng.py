@@ -54,8 +54,6 @@ _MASK32 = 0xFFFFFFFF
 
 def _words(n: int) -> list[int]:
     """The 32-bit words of n >= 0, least significant first (one for 0)."""
-    if n < 0:
-        raise ValueError(f"seed entropy must be >= 0, got {n}")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -133,8 +131,11 @@ def stream_rng(root_seed: int, stream: str, epoch: int) -> np.random.Generator:
     """Generator for one named stream in one epoch.
 
     Draw order inside an epoch must be fixed by the caller; independence
-    across (stream, epoch) pairs is guaranteed by the seed tree.
+    across (stream, epoch) pairs is guaranteed by the seed tree. A negative
+    root seed or epoch raises ValueError, as SeedSequence does.
     """
+    # as Python ints: numpy integers would warn of overflow in the products
+    # of the hash mix, and a float is refused as SeedSequence refuses it
     root_seed, epoch = operator.index(root_seed), operator.index(epoch)
     if root_seed < 0 or epoch < 0:
         raise ValueError(f"root seed and epoch must be >= 0, got {root_seed}, {epoch}")
