@@ -236,9 +236,32 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
+def parse_events(spec: str) -> dict[int, tuple[int, int]]:
+    """`DUR=COUNT,...` as {epoch duration [s]: (event epochs, epochs per day)}."""
+    events = {}
+    for item in filter(None, (part.strip() for part in spec.split(","))):
+        try:
+            dur, count = (int(v) for v in item.split("="))
+        except ValueError:
+            raise ScenarioError(f"events must look like DUR=COUNT,...: {item!r}") from None
+        epochs = round(86400 / dur) if dur > 0 else 0
+        if epochs < 1:
+            raise ScenarioError(f"epoch duration must be positive and give at least one "
+                                f"epoch per day: {item!r}")
+        if not 0 <= count <= epochs:
+            raise ScenarioError(f"event count must be 0..{epochs}, the epochs in a day "
+                                f"of {dur} s epochs: {item!r}")
+        events[dur] = (count, epochs)
+    return events
+
+
 def cmd_energy_model(args) -> int:
-    if args.profile not in TESTBEDS:
-        print(f"unknown profile {args.profile!r}", file=sys.stderr)
+    try:
+        if args.profile not in TESTBEDS:
+            raise ScenarioError(f"unknown profile {args.profile!r}")
+        events = {**EPOCH_SWEEP_EVENTS, **parse_events(args.events)}
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     profile = TESTBEDS[args.profile]
     out = Path(args.out)
@@ -252,13 +275,6 @@ def cmd_energy_model(args) -> int:
             _, _, dc_e, dc_p = protocol.analytic_ton(cfg, f_ev)
             fh.write(f"{f_ev:.2f},{dc_e!r},{dc_p!r},{(1 - dc_e / dc_p) * 100.0!r}\n")
 
-    events = dict(EPOCH_SWEEP_EVENTS)
-    if args.events:
-        for item in args.events.split(","):
-            dur, count = item.split("=")
-            dur = int(dur)
-            epochs = int(round(86400 / dur))
-            events[dur] = (int(count), epochs)
     with open(out / f"dc_vs_epoch_duration_{args.profile}.csv", "w") as fh:
         fh.write("T_epoch_s,events,epochs,F_ev_pct,DC_etc_pct,DC_periodic_pct,savings_pct\n")
         for dur in sorted(events, reverse=True):

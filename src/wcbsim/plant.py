@@ -14,13 +14,20 @@ Integration is classical fixed-step RK4. Because the dynamics are LTI and
 all inputs are zero-order held on the step grid, one RK4 step is an affine
 map; `PlantStepper` exploits this to advance whole constant-input segments
 with cached matrix powers while producing the same trajectory as repeated
-single steps (up to float round-off). The per-step levels come from one
-pool-local prefix table: a pool's level reads only its own y, ydot, yddot
-and three inputs, and row j-1 of the table gives it after j steps, so
-segments of every length share the table. Transport delays are not plant
+single steps (up to float round-off). Transport delays are not plant
 states: the caller supplies each gate's flow from tau_i earlier as an
 input, so dt must divide every delay (`check_dt`). The tests keep a
 step-by-step reference integrator with per-gate delay ring buffers.
+
+The stepper has two paths. The state path advances the end state of each
+segment at once, because the next epoch's samples, triggers and controller
+read it. The level path gives the per-step levels, which feed only the
+error integrals and the recorded trajectory and never the loop, so they
+can wait: each segment queues its few level inputs and `levels()` later
+evaluates many segments together from one pool-local prefix table. A
+pool's level reads only its own y, ydot, yddot and three inputs, and row
+j-1 of the table gives it after j steps, so segments of every length share
+the table and all queued segments of one length cost one matrix product.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ X2_GAIN_NUMERATOR = {"pade": 4.0, "lag": 2.0}
 _LEVEL_STATES = STATES_PER_POOL * np.arange(N_POOLS)[:, None] + np.arange(3)
 _LEVEL_INPUTS = np.array([[i, N_POOLS + i + 1 if i + 1 < N_POOLS else 2 * N_POOLS + i,
                            2 * N_POOLS + i] for i in range(N_POOLS)])
+# the same six per pool as columns of the concatenated (x, v)
+_LEVEL_COLUMNS = np.concatenate((_LEVEL_STATES, N_STATES + _LEVEL_INPUTS), axis=1)
 
 
 class NonFiniteState(RuntimeError):
@@ -128,12 +137,17 @@ def rk4_affine_maps(A: np.ndarray, B: np.ndarray, dt: float):
 class PlantStepper:
     """Segment integrator equivalent to repeated single RK4 steps.
 
-    For a segment of n steps with constant inputs v the state advances as
-    x <- Phi^n x + S_n Gam v with S_n = I + Phi + ... + Phi^(n-1), from maps
-    cached per segment length. The per-step levels needed for error
-    integrals come from one pool-local prefix table: pool i's level after j
-    steps is row j-1 of K[i] applied to its own (y, ydot, yddot) and three
-    inputs, so a segment of n steps reads K[:, :n] whatever its length.
+    State path: for a segment of n steps with constant inputs v the state
+    advances as x <- Phi^n x + S_n Gam v with S_n = I + Phi + ... +
+    Phi^(n-1), from maps cached per segment length; `advance` returns it.
+
+    Level path: `advance` also queues the segment's level inputs, and
+    `levels()` returns the per-step levels of every queued step and clears
+    the queue. Pool i's level after j steps is row j-1 of the prefix table
+    K[i] applied to its own (y, ydot, yddot) and three inputs, so the queued
+    segments of one length n form one (5, S, 6) @ (5, 6, n) product against
+    the table. The queue holds 40 floats per segment until it is drained;
+    the caller bounds it by draining after a fixed number of steps.
     """
 
     def __init__(self, pools: tuple[PoolParams, ...], dt: float,
@@ -156,6 +170,8 @@ class PlantStepper:
         self._K = np.concatenate((self._Phi_m[:, :1], self._Gam_y[:, :1]), axis=2)
         self._S = np.zeros((N_POOLS, 1, 3))
         self._S[:, 0, 0] = 1.0
+        self._queue: list[np.ndarray] = []       # concatenated (x, v) per segment
+        self._queue_n: list[int] = []
 
     def _segment_maps(self, n: int):
         if n not in self._seg_cache:
@@ -180,14 +196,35 @@ class PlantStepper:
             self._S = np.concatenate((self._S, S), axis=1)
             self._Phi_m = self._Phi_m @ self._Phi_m
 
-    def advance(self, x: np.ndarray, v: np.ndarray, n: int):
-        """Advance n steps under constant inputs; returns (x_end, levels (n,5))."""
-        if self._K.shape[1] < n:
-            self._grow_level_table(n)
-        q = np.concatenate((x[_LEVEL_STATES], v[_LEVEL_INPUTS]), axis=1)
-        levels = np.matmul(self._K[:, :n], q[:, :, None])[:, :, 0].T
+    def advance(self, x: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+        """Advance n steps under constant inputs and return the end state;
+        the n per-step levels wait in the queue for `levels()`."""
         Phi_n, G = self._segment_maps(n)
         x_end = Phi_n @ x + G @ v
         if not abs(x_end).max() < 1e9:           # also False for NaN and inf
             raise NonFiniteState("plant state diverged during segment advance")
-        return x_end, levels
+        self._queue.append(np.concatenate((x, v)))
+        self._queue_n.append(n)
+        return x_end
+
+    def levels(self) -> np.ndarray:
+        """Per-step levels (steps, 5) of every step advanced since the last
+        call, in time order; empties the queue."""
+        ns = self._queue_n
+        if not ns:
+            return np.empty((0, N_POOLS))
+        if self._K.shape[1] < max(ns):
+            self._grow_level_table(max(ns))
+        q = np.array(self._queue)[:, _LEVEL_COLUMNS].transpose(1, 0, 2)   # (5, S, 6)
+        by_length: dict[int, list[int]] = {}
+        for i, n in enumerate(ns):
+            by_length.setdefault(n, []).append(i)
+        pieces = [None] * len(ns)
+        for n, group in by_length.items():
+            # K[i, :n].T as a view: a segment's operand is laid out the same
+            # whatever the table size, so its levels do not depend on it
+            block = q[:, group] @ self._K[:, :n].transpose(0, 2, 1)     # (5, S_n, n)
+            for j, i in enumerate(group):
+                pieces[i] = block[:, j]
+        self._queue, self._queue_n = [], []
+        return np.concatenate(pieces, axis=1).T

@@ -147,8 +147,10 @@ class EpochConfig:
         return table[lo] + (n_senders - lo) / (hi - lo) * (table[hi] - table[lo])
 
 
-def flood_outcome(pdr: float, n_receivers: int, rng: np.random.Generator) -> np.ndarray:
-    """Independent per-receiver reception flags for one flood."""
+def flood_outcome(pdr: float, n_receivers: int | tuple[int, ...],
+                  rng: np.random.Generator) -> np.ndarray:
+    """Independent per-receiver reception flags for one flood, or for a
+    block of floods given a shape (drawn in C order)."""
     if pdr >= 1.0:
         return np.ones(n_receivers, dtype=bool)
     if pdr <= 0.0:
@@ -217,72 +219,68 @@ def run_epoch(participants: set[int], cfg: EpochConfig,
     controller never acknowledges or disseminates).
     """
     slots = cfg.slots
-    if actuators_on is None:
-        actuators_on = set(cfg.actuator_ids())
+    k = cfg.n_sensors
+    senders = np.array(sorted(participants), dtype=np.intp)
     awake = np.zeros(cfg.n_nodes, dtype=bool)
-    awake[[*participants, *actuators_on]] = True
+    awake[list(cfg.actuator_ids() if actuators_on is None else actuators_on)] = True
+    act_awake = awake[k + 1:].copy()
+    awake[senders] = True
     awake[0] = controller_on
 
-    # everyone sat through sync (and, in the event-triggered variant, EV)
-    radio = np.full(cfg.n_nodes, cfg.listen_on_ms)
+    # collection: one dedicated flood per participating sensor, in id order
+    received = np.zeros(k + 1, dtype=bool)     # by sensor id; 0 is unused
+    got = flood_outcome(slots[T].pdr, senders.size, rng)
+    if controller_on:
+        received[senders[got]] = True
 
-    # collection: one dedicated flood per participating sensor
-    received: set[int] = set()
-    for sid in cfg.sensor_ids():
-        if sid in participants:
-            got = flood_outcome(slots[T].pdr, 1, rng)[0]
-            if got and controller_on:
-                received.add(sid)
-    radio[awake] += cfg.n_sensors * slots[T].t_on_ms
+    # everyone sat through sync (and, in the event-triggered variant, EV);
+    # the awake nodes also through the K collection slots and the A slot
+    radio = np.where(awake, cfg.listen_on_ms + k * slots[T].t_on_ms + slots[A].t_on_ms,
+                     cfg.listen_on_ms)
 
     # cumulative acknowledgment; per-node Bernoulli reception of the bitmap
-    ack_rx = flood_outcome(slots[A].pdr, cfg.n_sensors, rng) if controller_on \
-        else np.zeros(cfg.n_sensors, dtype=bool)
-    radio[awake] += slots[A].t_on_ms
-    contenders = [sid for sid in sorted(participants)
-                  if not (ack_rx[sid - 1] and sid in received)]
+    ack_rx = flood_outcome(slots[A].pdr, k, rng) if controller_on \
+        else np.zeros(k, dtype=bool)
+    contenders = senders[~(ack_rx[senders - 1] & received[senders])]
 
     # recovery: contenders compete in shared T slots until acknowledged;
     # the controller keeps listening while any of the K sensors is unheard
     rounds_used = 0
+    pair_cost = slots[T].t_on_ms + slots[A].t_on_ms
     for _ in range(cfg.max_recovery_pairs):
-        controller_needs = controller_on and len(received) < cfg.n_sensors
-        if not contenders and not controller_needs:
+        controller_needs = controller_on and not received[1:].all()
+        if not contenders.size and not controller_needs:
             break
         rounds_used += 1
-        pair_cost = slots[T].t_on_ms + slots[A].t_on_ms
         if controller_on:
             radio[0] += pair_cost
-        for sid in contenders:
-            radio[sid] += pair_cost
-        if contenders and controller_on:
+        radio[contenders] += pair_cost
+        if contenders.size and controller_on:
             if flood_outcome(slots[T].pdr, 1, rng)[0]:
-                winner = contenders[int(rng.integers(len(contenders)))]
-                received.add(winner)
+                received[contenders[int(rng.integers(contenders.size))]] = True
         if controller_on:
-            ack_rx = flood_outcome(slots[A].pdr, cfg.n_sensors, rng)
-            contenders = [sid for sid in contenders
-                          if not (ack_rx[sid - 1] and sid in received)]
+            ack_rx = flood_outcome(slots[A].pdr, k, rng)
+            contenders = contenders[~(ack_rx[contenders - 1] & received[contenders])]
         # without the controller no bitmap arrives; contenders keep trying
 
-    unresolved = tuple(sid for sid in cfg.sensor_ids() if sid not in received)
-
-    # dissemination: C repeated command floods; actuators log the first hit
+    # dissemination: C repeated command floods, drawn as one (C, actuators)
+    # block; each actuator logs the end of the first flood it hears awake
     act_latency = np.full(cfg.n_actuators, np.nan)
     if controller_on:
-        for end_ms in cfg.ctrl_ends_ms:
-            got = flood_outcome(slots[CTRL].pdr, cfg.n_actuators, rng)
-            for a, aid in enumerate(cfg.actuator_ids()):
-                if got[a] and aid in actuators_on and math.isnan(act_latency[a]):
-                    act_latency[a] = end_ms
+        hits = flood_outcome(slots[CTRL].pdr, (cfg.n_ctrl_slots, cfg.n_actuators), rng) \
+            & act_awake
+        heard = hits.any(axis=0)
+        act_latency[heard] = np.asarray(cfg.ctrl_ends_ms)[hits.argmax(axis=0)[heard]]
         radio[awake] += cfg.n_ctrl_slots * slots[CTRL].t_on_ms
 
     return EpochTrace(
         epoch=epoch, event_flag=True,
         n_triggered=len(participants) if n_triggered is None else n_triggered,
-        participants=tuple(sorted(participants)), controller_on=controller_on,
-        received=tuple(sorted(received)), recovery_rounds_used=rounds_used,
-        unresolved=unresolved, act_latency_ms=act_latency, radio_on_ms=radio)
+        participants=tuple(senders.tolist()), controller_on=controller_on,
+        received=tuple(received.nonzero()[0].tolist()),
+        recovery_rounds_used=rounds_used,
+        unresolved=tuple(((received[1:] == 0).nonzero()[0] + 1).tolist()),
+        act_latency_ms=act_latency, radio_on_ms=radio)
 
 
 def collection_success_prob(pdr: float, k: int, max_lost: int) -> float:

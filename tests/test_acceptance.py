@@ -228,7 +228,7 @@ def test_criterion_10_property_suites():
 
     def endpoint(dt):
         stepper = PlantStepper(DEFAULT_POOLS, dt)
-        xe, _ = stepper.advance(x0.copy(), v, int(round(2.0 / dt)))
+        xe = stepper.advance(x0.copy(), v, int(round(2.0 / dt)))
         return xe
 
     ref = endpoint(0.0125)

@@ -296,9 +296,19 @@ def test_energy_model_event_override(tmp_path):
     assert int(sweep[60]["events"]) == 300
 
 
+@pytest.mark.parametrize("events", ["15=abc", "15", "0=5", "60=5000"])
+def test_energy_model_bad_events_exit_2_and_write_nothing(tmp_path, capsys, events):
+    out = tmp_path / "em"
+    assert main(["energy-model", "--out", str(out), "--events", events]) == EXIT_SCENARIO
+    assert "scenario error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_energy_model_unknown_profile(tmp_path):
-    rc = main(["energy-model", "--profile", "basement", "--out", str(tmp_path)])
+    out = tmp_path / "em"
+    rc = main(["energy-model", "--profile", "basement", "--out", str(out)])
     assert rc == EXIT_SCENARIO
+    assert not out.exists()
 
 
 def test_numeric_divergence_exits_3(tmp_path, monkeypatch, capsys):

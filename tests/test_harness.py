@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wcbsim import plant
+from wcbsim import harness, plant
 from wcbsim.harness import (Scenario, ScenarioError, SwitchLog, run_experiment,
                             scenario_preset, write_summary_csv,
                             write_trace_csv, write_trajectory_csv)
@@ -238,15 +238,18 @@ class _PrescribedLevels:
     """Stands in for plant.PlantStepper: every pool's level follows f(t)."""
 
     def __init__(self, f, pools, dt, x2_realization=None):
-        self.f, self.dt, self.k = f, dt, 0
+        self.f, self.dt, self.k, self.drained = f, dt, 0, 0
 
     def advance(self, x, v, n):
-        t = (self.k + 1 + np.arange(n)) * self.dt
         self.k += n
-        levels = np.repeat(self.f(t)[:, None], N_POOLS, axis=1)
         x = x.copy()
-        x[0::plant.STATES_PER_POOL] = levels[-1]
-        return x, levels
+        x[0::plant.STATES_PER_POOL] = self.f(np.array([self.k * self.dt]))[0]
+        return x
+
+    def levels(self):
+        t = (self.drained + 1 + np.arange(self.k - self.drained)) * self.dt
+        self.drained = self.k
+        return np.repeat(self.f(t)[:, None], N_POOLS, axis=1)
 
 
 def iae_of_prescribed_levels(monkeypatch, f, duration_epochs=10):
@@ -332,3 +335,47 @@ def test_replay_against_independent_integration(t_epoch_s):
 
     assert rep.levels.shape == levels.shape
     assert np.allclose(rep.levels, levels, atol=5e-9)
+
+
+@pytest.mark.parametrize("block_steps", [harness.LEVEL_BLOCK_STEPS, 997])
+def test_level_blocks_match_per_segment_recording(monkeypatch, block_steps):
+    # the levels drained in blocks of steps give the rows, times and IAE of a
+    # reference that takes each segment's levels right after its advance and
+    # records them with per-segment bookkeeping; 100 epochs of 750 steps
+    # cross the default block size four times
+    segments = []
+    stepper_class = plant.PlantStepper
+
+    class Recording(stepper_class):
+        def advance(self, x, v, n):
+            segments.append((x.copy(), v.copy(), n))
+            return super().advance(x, v, n)
+
+    monkeypatch.setattr(plant, "PlantStepper", Recording)
+    monkeypatch.setattr(harness, "LEVEL_BLOCK_STEPS", block_steps)
+    spe = 750
+    for every in (1, 7, 1000, 1001, spe + 1):
+        segments.clear()
+        rep = run_experiment(short("dept_etc_noisy", t_epoch_s=45.0, duration_epochs=100,
+                                   traj_every=every))
+        sc = rep.scenario
+        ref_stepper = stepper_class(sc.pools, sc.dt_min, sc.delay_approx)
+        t_ref, y_ref, g = [], [], 0
+        iae = np.zeros(N_POOLS)
+        for x, v, n in segments:
+            ref_stepper.advance(x, v, n)
+            levels = ref_stepper.levels()
+            iae += np.abs(levels).sum(axis=0)
+            ks = np.arange((-(g + 1)) % every, n, every)
+            t_ref.append((g + 1 + ks) * sc.dt_min)
+            y_ref.append(levels[ks])
+            g += n
+        assert g == sc.duration_epochs * spe
+        y_ref = np.concatenate(y_ref)
+        assert rep.t_min.tobytes() == np.concatenate(t_ref).tobytes()
+        assert rep.levels.shape == y_ref.shape == (g // every, N_POOLS)
+        assert np.abs(rep.levels - y_ref).max() <= 1e-15 * np.abs(y_ref).max()
+        first = sc.initial_level_m
+        t_exp = sc.duration_epochs * sc.t_epoch_s / 60.0
+        iae = (iae + 0.5 * (first - np.abs(levels[-1]))) * sc.dt_min / t_exp
+        np.testing.assert_allclose(rep.iae_per_pool, iae, rtol=1e-14, atol=0)

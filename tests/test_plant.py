@@ -126,7 +126,7 @@ def test_steady_slope_matches_mass_balance():
     x = np.zeros(25)
     v = np.concatenate([[delta, 0, 0, 0, 0], [delta, 0, 0, 0, 0], np.zeros(5)])
     for _ in range(40):  # 2000 min in reusable 50-min segments
-        x, _ = stepper.advance(x, v, 5000)
+        x = stepper.advance(x, v, 5000)
     rate = x[1]  # ydot of pool 1
     assert rate == pytest.approx(delta / POOLS[0].alpha, rel=1e-4)
 
@@ -143,7 +143,7 @@ def test_rk4_order_four_convergence():
 
     def endpoint(dt):
         stepper = PlantStepper(POOLS, dt)
-        x, _ = stepper.advance(x0.copy(), v, int(round(horizon / dt)))
+        x = stepper.advance(x0.copy(), v, int(round(horizon / dt)))
         return x
 
     ref = endpoint(0.0125)
@@ -178,8 +178,8 @@ def test_linearity_of_response():
 
     def response(u):
         v = np.concatenate([u, u, np.zeros(5)])
-        _, levels = stepper.advance(np.zeros(25), v, n)
-        return levels
+        stepper.advance(np.zeros(25), v, n)
+        return stepper.levels()
 
     combined = response(u1 + u2)
     superposed = response(u1) + response(u2)
@@ -210,7 +210,8 @@ def test_stepper_matches_single_steps():
     stepper = PlantStepper(POOLS, dt)
     x0 = WisPlantState.initial(POOLS, dt=dt, y0=0.02).as_vector()
     v = np.concatenate([np.full(5, u0), u, d])
-    fast, levels = stepper.advance(x0, v, n)
+    fast = stepper.advance(x0, v, n)
+    levels = stepper.levels()
     assert np.allclose(looped, fast, rtol=1e-11, atol=1e-14)
     assert levels.shape == (n, N_POOLS)
     assert np.allclose(looped_y, levels, rtol=1e-11, atol=1e-14)
@@ -225,7 +226,8 @@ def test_level_table_prefix():
     dt, N = 0.001, 1000
 
     def levels(stepper, n):
-        return stepper.advance(x, v, n)[1]
+        stepper.advance(x, v, n)
+        return stepper.levels()
 
     grown_first = PlantStepper(POOLS, dt)
     long = levels(grown_first, N)
@@ -234,6 +236,47 @@ def test_level_table_prefix():
         short = levels(fresh, n)
         assert np.array_equal(levels(grown_first, n), short)
         assert np.array_equal(levels(fresh, N), long)
+
+
+def segment_levels(stepper, x, v, n):
+    """Reference level path, one segment at a time: the (n, 5) levels of a
+    segment as the product of the first n rows of each pool's prefix table
+    with that pool's (y, ydot, yddot) and three inputs."""
+    K = stepper._K[:, :n]
+    q = np.concatenate((x[STATES_PER_POOL * np.arange(N_POOLS)[:, None] + np.arange(3)],
+                        v[[[i, N_POOLS + i + 1 if i + 1 < N_POOLS else 2 * N_POOLS + i,
+                            2 * N_POOLS + i] for i in range(N_POOLS)]]), axis=1)
+    return np.matmul(K, q[:, :, None])[:, :, 0].T, np.matmul(abs(K), abs(q)[:, :, None])[:, :, 0].T
+
+
+def test_levels_match_the_per_segment_product():
+    # mixed lengths, repeats, length 1, lengths past the table size reached
+    # so far, and a drain between advances; v is reused and changed in place
+    # as the epoch loop does, so the queue must hold copies
+    rng = np.random.default_rng(11)
+    stepper = PlantStepper(POOLS, dt=0.001)
+    x = rng.normal(0.0, 0.05, N_STATES)
+    v = np.empty(N_INPUTS)
+    for lengths in ((1, 7, 1, 300, 7, 64, 65), (2000,), (1, 3, 3000, 1, 5)):
+        segments = []
+        for n in lengths:
+            v[:] = rng.uniform(0.0, 20.0, N_INPUTS)
+            segments.append((x, v.copy(), n))
+            x = stepper.advance(x, v, n)
+        got = stepper.levels()
+        refs = [segment_levels(stepper, *seg) for seg in segments]
+        ref = np.concatenate([r for r, _ in refs])
+        scale = np.concatenate([s for _, s in refs])
+        assert got.shape == (sum(lengths), N_POOLS)
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+
+
+def test_empty_drain_returns_no_rows():
+    stepper = PlantStepper(POOLS, dt=0.05)
+    assert stepper.levels().shape == (0, N_POOLS)
+    stepper.advance(np.zeros(N_STATES), np.ones(N_INPUTS), 4)
+    assert stepper.levels().shape == (4, N_POOLS)
+    assert stepper.levels().shape == (0, N_POOLS)
 
 
 def test_delay_buffer_length_and_prefill():
@@ -301,5 +344,5 @@ def test_rk4_path_matches_independent_integrator():
     sol = solve_ivp(lambda t, x: A @ x + B @ v, [0.0, horizon], x0,
                     rtol=1e-11, atol=1e-12, dense_output=True)
     stepper = PlantStepper(POOLS, dt=0.001)
-    got, _ = stepper.advance(x0.copy(), v, int(horizon / 0.001))
+    got = stepper.advance(x0.copy(), v, int(horizon / 0.001))
     assert np.allclose(got, sol.y[:, -1], rtol=1e-8, atol=1e-12)

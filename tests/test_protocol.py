@@ -4,10 +4,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcbsim.profiles import DEPT, HALL, make_epoch_config
 from wcbsim.protocol import (A, CTRL, EV, S, T, WCB_E, WCB_P, ConfigError,
-                             SlotConfig, analytic_ton,
+                             EpochTrace, SlotConfig, analytic_ton,
                              collection_success_prob, event_phase,
                              flood_outcome, quiet_trace, run_epoch)
 from wcbsim.rng import stream_rng
@@ -290,6 +292,102 @@ def test_recovery_rounds_never_exceed_r():
         if tr.unresolved:
             assert tr.recovery_rounds_used == lossy.max_recovery_pairs
         assert tr.radio_on_ms.max() <= lossy.active_end_ms
+
+
+def loop_run_epoch(participants, cfg, rng, epoch=0, controller_on=True,
+                   actuators_on=None, n_triggered=None):
+    """Reference epoch, one flood draw per sensor and per CTRL slot, as
+    Python loops over node ids."""
+    slots = cfg.slots
+    if actuators_on is None:
+        actuators_on = set(cfg.actuator_ids())
+    awake = np.zeros(cfg.n_nodes, dtype=bool)
+    awake[[*participants, *actuators_on]] = True
+    awake[0] = controller_on
+    radio = np.full(cfg.n_nodes, cfg.listen_on_ms)
+
+    received = set()
+    for sid in cfg.sensor_ids():
+        if sid in participants:
+            got = flood_outcome(slots[T].pdr, 1, rng)[0]
+            if got and controller_on:
+                received.add(sid)
+    radio[awake] += cfg.n_sensors * slots[T].t_on_ms
+
+    ack_rx = flood_outcome(slots[A].pdr, cfg.n_sensors, rng) if controller_on \
+        else np.zeros(cfg.n_sensors, dtype=bool)
+    radio[awake] += slots[A].t_on_ms
+    contenders = [sid for sid in sorted(participants)
+                  if not (ack_rx[sid - 1] and sid in received)]
+
+    rounds_used = 0
+    for _ in range(cfg.max_recovery_pairs):
+        controller_needs = controller_on and len(received) < cfg.n_sensors
+        if not contenders and not controller_needs:
+            break
+        rounds_used += 1
+        pair_cost = slots[T].t_on_ms + slots[A].t_on_ms
+        if controller_on:
+            radio[0] += pair_cost
+        for sid in contenders:
+            radio[sid] += pair_cost
+        if contenders and controller_on:
+            if flood_outcome(slots[T].pdr, 1, rng)[0]:
+                winner = contenders[int(rng.integers(len(contenders)))]
+                received.add(winner)
+        if controller_on:
+            ack_rx = flood_outcome(slots[A].pdr, cfg.n_sensors, rng)
+            contenders = [sid for sid in contenders
+                          if not (ack_rx[sid - 1] and sid in received)]
+
+    unresolved = tuple(sid for sid in cfg.sensor_ids() if sid not in received)
+
+    act_latency = np.full(cfg.n_actuators, np.nan)
+    if controller_on:
+        for end_ms in cfg.ctrl_ends_ms:
+            got = flood_outcome(slots[CTRL].pdr, cfg.n_actuators, rng)
+            for a, aid in enumerate(cfg.actuator_ids()):
+                if got[a] and aid in actuators_on and math.isnan(act_latency[a]):
+                    act_latency[a] = end_ms
+        radio[awake] += cfg.n_ctrl_slots * slots[CTRL].t_on_ms
+
+    return EpochTrace(
+        epoch=epoch, event_flag=True,
+        n_triggered=len(participants) if n_triggered is None else n_triggered,
+        participants=tuple(sorted(participants)), controller_on=controller_on,
+        received=tuple(sorted(received)), recovery_rounds_used=rounds_used,
+        unresolved=unresolved, act_latency_ms=act_latency, radio_on_ms=radio)
+
+
+PDRS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=st.integers(1, 12), n_act=st.integers(1, 6), c=st.integers(1, 4),
+       r=st.integers(0, 4), variant=st.sampled_from([WCB_E, WCB_P]),
+       pdr=st.fixed_dictionaries({T: PDRS, A: PDRS, CTRL: PDRS}), data=st.data())
+def test_run_epoch_matches_the_per_node_loops(k, n_act, c, r, variant, pdr, data):
+    # the same PCG64 doubles in the same order, so every field and the
+    # generator state after the epoch agree exactly
+    cfg = make_epoch_config(DEPT, variant=variant, n_sensors=k, n_actuators=n_act,
+                            max_recovery_pairs=r, n_ctrl_slots=c)
+    cfg = replace(cfg, slots={kind: replace(slot, pdr=pdr.get(kind, slot.pdr))
+                              for kind, slot in cfg.slots.items()})
+    participants = data.draw(st.sets(st.sampled_from(list(cfg.sensor_ids()))))
+    controller_on = data.draw(st.booleans())
+    actuators_on = data.draw(st.none() | st.sets(st.sampled_from(list(cfg.actuator_ids()))))
+    seed, epoch = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 10**6))
+    args = (participants, cfg)
+    kwargs = dict(epoch=epoch, controller_on=controller_on, actuators_on=actuators_on)
+    rng_got, rng_ref = stream_rng(seed, "network", epoch), stream_rng(seed, "network", epoch)
+    got = run_epoch(*args, rng_got, **kwargs)
+    ref = loop_run_epoch(*args, rng_ref, **kwargs)
+    for name in ("epoch", "event_flag", "n_triggered", "participants", "controller_on",
+                 "received", "recovery_rounds_used", "unresolved"):
+        assert repr(getattr(got, name)) == repr(getattr(ref, name)), name
+    assert got.act_latency_ms.tobytes() == ref.act_latency_ms.tobytes()
+    assert got.radio_on_ms.tobytes() == ref.radio_on_ms.tobytes()
+    assert rng_got.bit_generator.state == rng_ref.bit_generator.state
 
 
 # ------------------------------------------------------------- analytics
