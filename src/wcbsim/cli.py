@@ -20,7 +20,7 @@ import configparser
 import io
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,67 +37,16 @@ EXIT_SCENARIO = 2
 EXIT_DIVERGED = 3
 EXIT_DESIGN = 4
 
-_VARIANT_NAMES = {"etc": WCB_E, "periodic": WCB_P}
-_VARIANT_LABELS = {v: k for k, v in _VARIANT_NAMES.items()}
-
-# (section, key) -> (scenario field, parse, serialize)
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_disturbances(text: str):
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        t, pool, flow = item.split(":")
-        out.append((float(t), int(pool) - 1, float(flow)))
-    return tuple(out)
-
-
-def _fmt_float(v) -> str:
-    return repr(float(v))
-
-
-def _fmt_disturbances(steps):
-    return ", ".join(f"{_fmt_float(t)}:{pool + 1}:{_fmt_float(flow)}"
-                     for t, pool, flow in steps)
-
-
-_SCHEMA = {
-    ("run", "testbed"): ("testbed", str, str),
-    ("run", "variant"): ("variant", lambda s: _VARIANT_NAMES[s], lambda v: _VARIANT_LABELS[v]),
-    ("run", "duration_epochs"): ("duration_epochs", int, str),
-    ("run", "t_epoch_s"): ("t_epoch_s", float, _fmt_float),
-    ("run", "seed"): ("seed", int, str),
-    ("run", "traj_every"): ("traj_every", int, str),
-    ("plant", "dt_min"): ("dt_min", float, _fmt_float),
-    ("plant", "initial_level_m"): ("initial_level_m", float, _fmt_float),
-    ("plant", "delay_approx"): ("delay_approx", str, str),
-    ("plant", "disturbances"): ("disturbances", _parse_disturbances, _fmt_disturbances),
-    ("noise", "level_std_m"): ("level_std_m", float, _fmt_float),
-    ("noise", "flow_std"): ("flow_std", float, _fmt_float),
-    ("noise", "flow_noise_mode"): ("flow_noise_mode", str, str),
-    ("noise", "x3_mode"): ("x3_mode", str, str),
-    ("trigger", "scale"): ("trigger_scale",
-                           lambda s: tuple(float(v) for v in s.split(",")),
-                           lambda v: ", ".join(map(_fmt_float, v))),
-    ("network", "n_event_slots"): ("n_event_slots", int, str),
-    ("network", "max_recovery_pairs"): ("max_recovery_pairs", int, str),
-    ("network", "n_ctrl_slots"): ("n_ctrl_slots", int, str),
-    ("network", "fp_rate"): ("fp_rate", float, _fmt_float),
-    ("network", "force_trigger"): ("force_trigger", lambda s: _BOOL[s.lower()],
-                                   lambda v: "true" if v else "false"),
-}
-_EXTRA_KEYS = {("trigger", "params_file")}
+_KEYS = {f.metadata["ini"]: f for f in fields(Scenario) if f.metadata["ini"]}
+_PARAMS_FILE = ("trigger", "params_file")
 
 
 def scenario_to_ini(scenario: Scenario) -> str:
     cp = configparser.ConfigParser(interpolation=None)
-    for (section, key), (field_name, _, fmt) in _SCHEMA.items():
+    for (section, key), f in _KEYS.items():
         if not cp.has_section(section):
             cp.add_section(section)
-        cp.set(section, key, fmt(getattr(scenario, field_name)))
+        cp.set(section, key, f.metadata["kind"].fmt(getattr(scenario, f.name)))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -117,30 +66,31 @@ def scenario_from_ini(text: str, overrides: Sequence[str] = ()) -> Scenario:
             section, option = key.split(".", 1)
         except ValueError:
             raise ScenarioError(f"override must look like section.key=value: {item!r}")
-        if (section, option) not in _SCHEMA and (section, option) not in _EXTRA_KEYS:
+        if (section, option) not in _KEYS and (section, option) != _PARAMS_FILE:
             raise ScenarioError(f"unknown override key {key!r}")
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, option, value)
-    fields = {}
+    values = {}
     for section in cp.sections():
         for key, value in cp.items(section):
-            if (section, key) in _EXTRA_KEYS:
+            if (section, key) == _PARAMS_FILE:
                 continue
-            if (section, key) not in _SCHEMA:
+            if (section, key) not in _KEYS:
                 raise ScenarioError(f"unknown scenario key [{section}] {key}")
-            field_name, parse, _ = _SCHEMA[(section, key)]
+            f = _KEYS[(section, key)]
             try:
-                fields[field_name] = parse(value)
-            except (ValueError, KeyError) as exc:
-                raise ScenarioError(f"bad value for [{section}] {key}: {value!r} ({exc})")
-    if cp.has_option("trigger", "params_file"):
-        path = cp.get("trigger", "params_file")
+                values[f.name] = f.metadata["kind"].parse(value)
+            except ValueError:
+                raise ScenarioError(f"bad value for [{section}] {key}: {value!r} "
+                                    f"(must be {f.metadata['kind'].what})") from None
+    if cp.has_option(*_PARAMS_FILE):
+        path = cp.get(*_PARAMS_FILE)
         try:
-            fields["trigger_params"] = triggers.load_params(path)
+            values["trigger_params"] = triggers.load_params(path)
         except (OSError, ValueError) as exc:
             raise ScenarioError(f"cannot load trigger parameters from {path!r}: {exc}")
-    scenario = Scenario(**fields)
+    scenario = Scenario(**values)
     scenario.validate()
     return scenario
 
@@ -177,13 +127,19 @@ def parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
+def output_dir(spec: str) -> Path:
+    """The directory `--out` names; ScenarioError if a file stands in its way."""
+    out = Path(spec)
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        raise ScenarioError(f"--out {spec!r} is a file or lies inside one")
+    return out
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario, args.override)
-        if args.profile:
-            scenario = replace(scenario, testbed=args.profile)
-            scenario.validate()
         seeds = [scenario.seed] if args.seeds is None else parse_seeds(args.seeds)
+        out = output_dir(args.out)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
@@ -199,12 +155,12 @@ def cmd_run(args) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w") as fh:
         harness.write_summary_csv(reports, fh)
     for rep in reports:
-        tag = f"{rep.scenario.testbed}_{_VARIANT_LABELS[rep.scenario.variant]}_seed{rep.scenario.seed}"
+        variant = harness.VARIANT.fmt(rep.scenario.variant)
+        tag = f"{rep.scenario.testbed}_{variant}_seed{rep.scenario.seed}"
         with open(out / f"trajectory_{tag}.csv", "w") as fh:
             harness.write_trajectory_csv(rep, fh)
         with open(out / f"trace_{tag}.csv", "w") as fh:
@@ -260,11 +216,11 @@ def cmd_energy_model(args) -> int:
         if args.profile not in TESTBEDS:
             raise ScenarioError(f"unknown profile {args.profile!r}")
         events = {**EPOCH_SWEEP_EVENTS, **parse_events(args.events)}
+        out = output_dir(args.out)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     profile = TESTBEDS[args.profile]
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     cfg = make_epoch_config(profile, variant=WCB_E, t_epoch_s=60.0)
@@ -309,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", help="e.g. 1..8 or 3,5,9 (default: the scenario's seed)")
     p_run.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE")
-    p_run.add_argument("--profile", choices=sorted(TESTBEDS),
-                       help="override the scenario's testbed")
     p_run.set_defaults(func=cmd_run)
 
     p_design = sub.add_parser("design", help="print gain, eigenvalues, decay rate")

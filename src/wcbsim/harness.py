@@ -36,7 +36,11 @@ import functools
 import hashlib
 import io
 import math
-from dataclasses import dataclass, replace
+import numbers
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,76 +116,119 @@ class SwitchLog:
         return repr((self._steps, self._flows)).encode()
 
 
+class Kind(NamedTuple):
+    """The values a Scenario field accepts, and how its INI text parses and formats."""
+    what: str                                   # the accepted values, for messages
+    accepts: Callable[[object], bool]
+    parse: Callable[[str], object] = str
+    fmt: Callable[[object], str] = str
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # finite also as a float: an int beyond the float range is not
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _choice(values: tuple[str, ...], labels: tuple[str, ...] | None = None) -> Kind:
+    """One of `values`, written in INI as the label at the same position."""
+    labels = labels or values
+    return Kind("one of " + ", ".join(labels), lambda v: isinstance(v, str) and v in values,
+                lambda s: values[labels.index(s)], lambda v: labels[values.index(v)])
+
+
+def _integer(lo: int) -> Kind:
+    return Kind(f"an integer >= {lo}", lambda v: _is_int(v) and v >= lo, int)
+
+
+def _real(what: str = "a finite real", ok=lambda v: True) -> Kind:
+    return Kind(what, lambda v: _is_real(v) and ok(v), float, lambda v: repr(float(v)))
+
+
+def _reals(n: int, what: str, ok=lambda v: True) -> Kind:
+    return Kind(f"{n} finite reals {what}",
+                lambda v: (isinstance(v, (tuple, list)) and len(v) == n
+                           and all(_is_real(x) and ok(x) for x in v)),
+                lambda s: tuple(float(x) for x in s.split(",")),
+                lambda v: ", ".join(repr(float(x)) for x in v))
+
+
+_POSITIVE = _real("a finite real > 0", lambda v: v > 0)
+_NON_NEGATIVE = _real("a finite real >= 0", lambda v: v >= 0)
+_STEPS = Kind(f"(time [min], pool, flow) steps of finite reals, with the pools "
+              f"counted 0..{N_POOLS - 1} (1..{N_POOLS} in INI files)",
+              lambda v: isinstance(v, (tuple, list)) and all(
+                  isinstance(s, (tuple, list)) and len(s) == 3 and _is_real(s[0])
+                  and _is_int(s[1]) and 0 <= s[1] < N_POOLS and _is_real(s[2]) for s in v),
+              lambda s: tuple((float(t), int(pool) - 1, float(flow)) for t, pool, flow
+                              in (item.split(":") for item in s.split(",") if item.strip())),
+              lambda v: ", ".join(f"{float(t)!r}:{pool + 1}:{float(flow)!r}"
+                                  for t, pool, flow in v))
+VARIANT = _choice((WCB_E, WCB_P), ("etc", "periodic"))
+_FLAG = Kind("True or False (in INI: true/false, yes/no, 1/0)", lambda v: isinstance(v, bool),
+             lambda s: ("false", "true", "no", "yes", "0", "1").index(s.lower()) % 2 == 1,
+             lambda v: str(v).lower())
+
+
+def _field(default, ini: tuple[str, str] | None, kind: Kind):
+    """A Scenario field that INI files set as [section] key `ini`, if given."""
+    return field(default=default, metadata={"ini": ini, "kind": kind})
+
+
 @dataclass(frozen=True)
 class Scenario:
-    testbed: str = "dept"
-    variant: str = WCB_E
-    duration_epochs: int = 1440
-    t_epoch_s: float = 60.0
-    dt_min: float = 0.001
-    initial_level_m: float = 0.05
-    disturbances: tuple[tuple[float, int, float], ...] = ((180.0, 4, 16.0),
-                                                          (450.0, 4, 34.0),
-                                                          (600.0, 4, 0.0))
-    level_std_m: float = 0.0
-    flow_std: float = 0.0
-    flow_noise_mode: str = "filtered"      # filtered through the x2 stage, or direct
-    x3_mode: str = "continuous"            # node integral: continuous or discrete sum
-    seed: int = 1
-    delay_approx: str = "lag"
-    trigger_params: triggers.TriggerParams = triggers.DEFAULT_TRIGGERS
-    trigger_scale: tuple[float, float, float] = DEFAULT_TRIGGER_SCALE
-    fp_rate: float = 0.0
-    force_trigger: bool = False
-    n_event_slots: int = 2
-    max_recovery_pairs: int = 3
-    n_ctrl_slots: int = 2
-    pools: tuple[PoolParams, ...] = DEFAULT_POOLS
-    q_diag: tuple[float, ...] = tuple(control.DEFAULT_Q_DIAG)
-    traj_every: int = 1
+    """One simulated setting; INI files list the fields' keys in field order."""
+    testbed: str = _field("dept", ("run", "testbed"), _choice(tuple(TESTBEDS)))
+    variant: str = _field(WCB_E, ("run", "variant"), VARIANT)
+    duration_epochs: int = _field(1440, ("run", "duration_epochs"), _integer(1))
+    t_epoch_s: float = _field(60.0, ("run", "t_epoch_s"), _POSITIVE)
+    dt_min: float = _field(0.001, ("plant", "dt_min"), _POSITIVE)
+    initial_level_m: float = _field(0.05, ("plant", "initial_level_m"), _real())
+    delay_approx: str = _field("lag", ("plant", "delay_approx"), _choice(("pade", "lag")))
+    disturbances: tuple[tuple[float, int, float], ...] = _field(
+        ((180.0, 4, 16.0), (450.0, 4, 34.0), (600.0, 4, 0.0)), ("plant", "disturbances"), _STEPS)
+    level_std_m: float = _field(0.0, ("noise", "level_std_m"), _NON_NEGATIVE)
+    flow_std: float = _field(0.0, ("noise", "flow_std"), _NON_NEGATIVE)
+    # flow noise filtered through the x2 stage, or direct
+    flow_noise_mode: str = _field("filtered", ("noise", "flow_noise_mode"),
+                                  _choice(("filtered", "direct")))
+    # node integral: continuous, or a discrete sum
+    x3_mode: str = _field("continuous", ("noise", "x3_mode"), _choice(("continuous", "discrete")))
+    seed: int = _field(1, ("run", "seed"), _integer(0))
+    trigger_params: triggers.TriggerParams = _field(triggers.DEFAULT_TRIGGERS, None, Kind(
+        "a TriggerParams", lambda v: isinstance(v, triggers.TriggerParams)))
+    trigger_scale: tuple[float, float, float] = _field(
+        DEFAULT_TRIGGER_SCALE, ("trigger", "scale"),
+        _reals(3, "(level, flow filter, level integral)"))
+    n_event_slots: int = _field(2, ("network", "n_event_slots"), _integer(0))
+    max_recovery_pairs: int = _field(3, ("network", "max_recovery_pairs"), _integer(0))
+    n_ctrl_slots: int = _field(2, ("network", "n_ctrl_slots"), _integer(1))
+    fp_rate: float = _field(0.0, ("network", "fp_rate"),
+                            _real("a real in [0, 1]", lambda v: 0 <= v <= 1))
+    force_trigger: bool = _field(False, ("network", "force_trigger"), _FLAG)
+    pools: tuple[PoolParams, ...] = _field(DEFAULT_POOLS, None, Kind(
+        f"{N_POOLS} PoolParams", lambda v: (isinstance(v, (tuple, list)) and len(v) == N_POOLS
+                                            and all(isinstance(p, PoolParams) for p in v))))
+    q_diag: tuple[float, ...] = _field(tuple(control.DEFAULT_Q_DIAG), None,
+                                       _reals(3 * N_POOLS, ">= 0", lambda v: v >= 0))
+    traj_every: int = _field(1, ("run", "traj_every"), _integer(1))
 
     def validate(self) -> None:
-        if self.testbed not in TESTBEDS:
-            raise ScenarioError(f"unknown testbed {self.testbed!r}")
-        if self.variant not in (WCB_E, WCB_P):
-            raise ScenarioError(f"unknown variant {self.variant!r}")
-        if self.duration_epochs < 1:
-            raise ScenarioError("duration must be at least one epoch")
-        if self.seed < 0:
-            raise ScenarioError("seed must be >= 0")
-        reals = [self.t_epoch_s, self.dt_min, self.initial_level_m, self.level_std_m,
-                 self.flow_std, self.fp_rate, *self.trigger_scale,
-                 *(v for step in self.disturbances for v in step)]
-        if not all(math.isfinite(v) for v in reals):
-            raise ScenarioError("scenario values must be finite")
-        if self.t_epoch_s <= 0 or self.dt_min <= 0:
-            raise ScenarioError("epoch duration and dt must be positive")
+        for f in fields(self):
+            if not f.metadata["kind"].accepts(getattr(self, f.name)):
+                raise ScenarioError(f"{f.name} must be {f.metadata['kind'].what}")
         steps = self.t_epoch_s * SEC_TO_MIN / self.dt_min
         step_times = [steps] + [t / self.dt_min for t, _, _ in self.disturbances]
         if not all(math.isfinite(v) for v in step_times):
             raise ScenarioError("the epoch and disturbance times must be finite in steps of dt")
-        if self.level_std_m < 0 or self.flow_std < 0:
-            raise ScenarioError("noise standard deviations must be >= 0")
-        if self.flow_noise_mode not in ("filtered", "direct"):
-            raise ScenarioError(f"unknown flow noise mode {self.flow_noise_mode!r}")
-        if self.x3_mode not in ("continuous", "discrete"):
-            raise ScenarioError(f"unknown x3 mode {self.x3_mode!r}")
-        if self.delay_approx not in ("pade", "lag"):
-            raise ScenarioError(f"unknown delay approximation {self.delay_approx!r}")
-        if self.traj_every < 1:
-            raise ScenarioError("traj_every must be >= 1")
-        for _, pool, _ in self.disturbances:
-            if not 0 <= pool < len(self.pools):
-                raise ScenarioError(
-                    f"disturbance pool {pool + 1} is outside 1..{len(self.pools)}")
         try:
             plant.DisturbanceSchedule(list(self.disturbances))
             plant.check_dt(self.pools, self.dt_min)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        if len(self.trigger_scale) != 3:
-            raise ScenarioError("trigger scale needs exactly 3 values "
-                                "(level, flow filter, level integral)")
         if abs(steps - round(steps)) > 1e-9:
             raise ScenarioError("dt must divide the epoch duration")
         n_rows = self.duration_epochs * round(steps) // self.traj_every
@@ -215,22 +262,18 @@ class Scenario:
 
 def scenario_preset(name: str, seed: int = 1, **overrides) -> Scenario:
     """Named presets: {hall|dept}_{etc|periodic}_{noiseless|noisy}."""
-    try:
-        testbed, sampling, noise = name.split("_")
-        variant = {"etc": WCB_E, "periodic": WCB_P}[sampling]
-        noisy = {"noiseless": False, "noisy": True}[noise]
-        if testbed not in TESTBEDS:
-            raise KeyError(testbed)
-    except (ValueError, KeyError):
+    if name not in PRESET_NAMES:
         raise ScenarioError(f"unknown scenario preset {name!r}")
-    fields = dict(
-        testbed=testbed, variant=variant, seed=seed,
+    testbed, sampling, noise = name.split("_")
+    noisy = noise == "noisy"
+    values = dict(
+        testbed=testbed, variant=VARIANT.parse(sampling), seed=seed,
         level_std_m=0.001 if noisy else 0.0,
         flow_std=1.0 if noisy else 0.0,
         fp_rate=DEFAULT_FP_RATE if noisy else 0.0,
     )
-    fields.update(overrides)
-    return Scenario(**fields)
+    values.update(overrides)
+    return Scenario(**values)
 
 
 PRESET_NAMES = tuple(f"{t}_{s}_{n}" for t in ("hall", "dept")

@@ -107,7 +107,7 @@ def node_trigger(params: TriggerParams, x: np.ndarray, xhat: np.ndarray) -> tupl
     e = xhat - x
     n = params.n_nodes
     value = np.bincount(owner, e * (M @ e), n) - np.bincount(owner, x * (N @ x), n)
-    return tuple((np.flatnonzero(value > theta) + 1).tolist())
+    return tuple(((value > theta).nonzero()[0] + 1).tolist())
 
 
 def assemble_centralized(params: TriggerParams, n_states: int = 15):

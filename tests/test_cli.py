@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcbsim
-from wcbsim.cli import (_EXTRA_KEYS, _SCHEMA, EXIT_DESIGN, EXIT_OK, EXIT_SCENARIO,
-                        load_scenario, main, parse_seeds, scenario_from_ini,
-                        scenario_to_ini)
-from wcbsim.harness import Scenario, ScenarioError, scenario_preset
+from wcbsim.cli import (EXIT_DESIGN, EXIT_OK, EXIT_SCENARIO, load_scenario, main,
+                        parse_seeds, scenario_from_ini, scenario_to_ini)
+from wcbsim.harness import PRESET_NAMES, Scenario, ScenarioError, scenario_preset
 from wcbsim.triggers import DEFAULT_TRIGGERS
 
 SMALL = ["--override", "run.duration_epochs=40", "--override", "run.traj_every=200"]
@@ -31,11 +31,12 @@ def test_seed_specs():
 
 
 def test_scenario_ini_round_trip():
-    sc = scenario_preset("hall_etc_noisy", seed=4)
-    text = scenario_to_ini(sc)
-    again = scenario_from_ini(text)
-    assert again == sc
-    assert scenario_to_ini(again) == text
+    for name in PRESET_NAMES:
+        sc = scenario_preset(name, seed=4)
+        text = scenario_to_ini(sc)
+        again = scenario_from_ini(text)
+        assert again == sc
+        assert scenario_to_ini(again) == text
 
 
 def test_overrides_keep_the_file_values(tmp_path):
@@ -185,7 +186,8 @@ def test_run_defaults_to_the_scenario_seed(tmp_path, capsys):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_SCHEMA) + sorted(_EXTRA_KEYS)),
+@given(st.sampled_from([f.metadata["ini"] for f in fields(Scenario) if f.metadata["ini"]]
+                       + [("trigger", "params_file")]),
        st.sampled_from(["%", "5%", "nan", "-nan", "inf", "1e-320", "1e308", "-1", "0",
                         "", "1,nan,1", "1e308:1:1", "1:9:1"])
        | st.text(alphabet="0123456789-.,:%eE naiftrue", max_size=5))
@@ -197,6 +199,31 @@ def test_validate_exits_0_or_2_for_any_override(key, value):
     assert rc in (EXIT_OK, EXIT_SCENARIO)
     if rc == EXIT_SCENARIO:
         assert err.getvalue().startswith("violation: ")
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "inside-file"])
+def test_run_refuses_an_out_file_before_simulating(tmp_path, monkeypatch, capsys, inside):
+    from wcbsim import cli
+
+    def boom(scenario):
+        raise AssertionError("simulated although --out is a file")
+
+    monkeypatch.setattr(cli.harness, "run_experiment", boom)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "out" if inside else taken
+    rc = main(["run", "--scenario", "dept_etc_noiseless", "--out", str(out)] + SMALL)
+    assert rc == EXIT_SCENARIO
+    assert "scenario error" in capsys.readouterr().err
+    assert taken.read_text() == "keep me\n"
+
+
+def test_energy_model_refuses_an_out_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    assert main(["energy-model", "--out", str(taken)]) == EXIT_SCENARIO
+    assert "scenario error" in capsys.readouterr().err
+    assert taken.read_text() == "keep me\n"
 
 
 def test_run_with_epochs_that_do_not_divide_the_delays(tmp_path):

@@ -2,6 +2,7 @@ import io
 import math
 import tracemalloc
 from bisect import bisect_right
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcbsim import harness, plant
+from wcbsim.control import NoStabilizingSolution
 from wcbsim.harness import (Scenario, ScenarioError, SwitchLog, run_experiment,
                             scenario_preset, write_summary_csv,
                             write_trace_csv, write_trajectory_csv)
-from wcbsim.pools import N_POOLS
+from wcbsim.pools import DEFAULT_POOLS, N_POOLS
 from wcbsim.protocol import WCB_E, WCB_P
 
 
@@ -180,6 +182,51 @@ def test_runs_too_large_to_record_are_refused():
             Scenario(**bad).validate()
     # a 1 s-epoch day at full resolution: 86 400 epochs, 4.32 M trajectory rows
     Scenario(duration_epochs=86400, t_epoch_s=1.0, dt_min=0.000333333333333).validate()
+
+
+# inputs that the Python API once ran reinterpreted (force_trigger="false" ran
+# forced, n_event_slots=1.5 ran, seed=True ran as seed 1) or that ended in a
+# traceback from deep inside a run
+MISUSED_FIELDS = [("force_trigger", "false"), ("n_event_slots", 1.5), ("seed", True),
+                  ("q_diag", (1.0, 1.0, 1.0)), ("q_diag", (-1.0,) + (1.0,) * 14),
+                  ("q_diag", (math.nan,) + (1.0,) * 14),
+                  ("pools", DEFAULT_POOLS + DEFAULT_POOLS[:1]), ("duration_epochs", 5.5),
+                  ("traj_every", 2.5), ("seed", 1.0), ("n_ctrl_slots", 2.0),
+                  ("fp_rate", "0.1"), ("testbed", ["dept"]),
+                  ("disturbances", ((180.0, 1.5, 16.0),))]
+
+
+@pytest.mark.parametrize("name, value", MISUSED_FIELDS)
+def test_misused_fields_are_refused_by_name(name, value):
+    with pytest.raises(ScenarioError, match=f"^{name} must be "):
+        replace(scenario_preset("dept_etc_noisy"), **{name: value}).validate()
+
+
+def test_zero_q_passes_validation_and_fails_synthesis():
+    sc = replace(scenario_preset("dept_etc_noisy"), q_diag=(0.0,) * 15)
+    sc.validate()
+    with pytest.raises(NoStabilizingSolution):
+        run_experiment(sc)
+
+
+def test_every_field_has_an_ini_key_but_three():
+    keys = [f.metadata["ini"] for f in fields(Scenario) if f.metadata["ini"]]
+    assert {f.name for f in fields(Scenario) if not f.metadata["ini"]} \
+        == {"pools", "q_diag", "trigger_params"}
+    assert len(set(keys)) == len(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([f.name for f in fields(Scenario)]),
+       st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+       | st.lists(st.floats() | st.integers(-1, 5), max_size=3).map(tuple)
+       | st.lists(st.tuples(st.floats(), st.integers(-1, 5), st.floats()), max_size=2))
+def test_validate_refuses_any_value_with_scenario_error(name, value):
+    # validate only: no drawn value starts a run
+    try:
+        replace(scenario_preset("dept_etc_noisy"), **{name: value}).validate()
+    except ScenarioError:
+        pass
 
 
 def test_summary_row_columns():
